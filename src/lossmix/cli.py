@@ -30,6 +30,7 @@ from .harness import (
     trajectory_arity,
 )
 from .models import LINEAR_KIND, MLP_KIND, ToyModelSpec, build_model
+from .optim import TrainingDiverged
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -116,6 +117,17 @@ def _write_run(result, run_dir: Path) -> dict:
     return summary
 
 
+def _raise_if_diverged(runs) -> None:
+    """Report the earliest divergence among ``runs``; called once their outputs are written."""
+    diverged = [r for r in runs if r.diverged]
+    if diverged:
+        first = min(diverged, key=lambda r: r.diverged_step)
+        raise TrainingDiverged(
+            first.diverged_step,
+            f"{first.diverged_reason} (seed {first.seed}; {len(diverged)} of {len(runs)} runs diverged)",
+        )
+
+
 def cmd_gradcheck(args) -> int:
     reports = [
         check_hp_gradients(n_trials=args.trials, tol=args.tol, seed=args.seed),
@@ -148,9 +160,7 @@ def cmd_train(args) -> int:
     result = run_training(config, seed)
     summary = _write_run(result, out / f"train_seed{seed}")
     print(json.dumps(summary, indent=2))
-    if result.diverged:
-        _error_line("diverged", f"training diverged at step {result.diverged_step}")
-        return EXIT_DIVERGED
+    _raise_if_diverged([result])
     return EXIT_OK
 
 
@@ -185,6 +195,7 @@ def cmd_grid(args) -> int:
                 + [repr(p.mean_val), repr(p.std_val)]
             )
     print(json.dumps(summary, indent=2))
+    _raise_if_diverged([run for point in result.points for run in point.runs])
     return EXIT_OK
 
 
@@ -197,6 +208,7 @@ def cmd_seed_study(args) -> int:
     summary = seed_study_summary(report)
     _write_json(out / "seed_study_summary.json", summary)
     print(json.dumps(summary, indent=2))
+    _raise_if_diverged(report.runs)
     return EXIT_OK
 
 
@@ -249,6 +261,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _error_line("config", str(exc))
         return EXIT_CONFIG
+    except TrainingDiverged as exc:
+        _error_line("diverged", str(exc))
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

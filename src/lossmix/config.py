@@ -63,7 +63,6 @@ CONFIG_KEYS = {
     "mode": str,
     "fixed_weights": _floats,
     "grid_axes": _axes,
-    "grid_log_ratios": _floats,
     "seeds": _ints,
     "data_seed": int,
     "n_train": int,
@@ -86,7 +85,6 @@ class ExperimentConfig:
     mode: str = "learned"
     fixed_weights: tuple[float, ...] = ()
     grid_axes: tuple[tuple[float, ...], ...] = ()
-    grid_log_ratios: tuple[float, ...] = ()
     seeds: tuple[int, ...] = (0,)
     data_seed: int = 0
     n_train: int = 32
@@ -179,7 +177,6 @@ def build_config(values: dict) -> ExperimentConfig:
             mode=values.get("mode", "learned"),
             fixed_weights=values.get("fixed_weights", ()),
             grid_axes=values.get("grid_axes", ()),
-            grid_log_ratios=values.get("grid_log_ratios", ()),
             seeds=values.get("seeds", (0,)),
             data_seed=values.get("data_seed", 0),
             n_train=values.get("n_train", 32),

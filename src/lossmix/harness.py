@@ -2,9 +2,11 @@
 
 Every run is a deterministic function of (config, seed): the run seed
 drives parameter initialization and batch shuffling, the data seed the
-dataset. Fixed-weight runs reuse the exact same loop with zero exponent
-gradients and the regularizer disabled, so their weights never move;
-this makes a one-point grid bitwise identical to a fixed run.
+dataset. Every driver makes one call to the same engine, which trains
+all of its runs together on a leading run axis; a single run is a stack
+of one. Fixed-weight runs skip the exponent gradient and the
+regularizer, so their weights never move; this makes a one-point grid
+bitwise identical to a fixed run.
 """
 
 from __future__ import annotations
@@ -20,9 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, with_epsilon
-from .losses import HPExponents, LossVector, hp_gradient_empirical, regularizer_value, softmax_weights
+from .losses import (
+    HPExponents,
+    LossVector,
+    _trusted,
+    hp_gradient_empirical,
+    regularizer_value,
+    softmax_weights,
+)
 from .models import BatchSampler, build_model, make_synthetic_dataset
-from .optim import HPState, TrainingDiverged, adamw_step, init_hp_state, init_param_state, sgdw_step
+from .optim import HPState, adamw_step, init_hp_state, init_param_state, sgdw_step, state_faults
 
 __all__ = [
     "TrajectoryRecord",
@@ -40,6 +49,8 @@ __all__ = [
     "trajectory_columns",
     "normalize_weights",
 ]
+
+NON_FINITE_LOSS = "non-finite loss"
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,10 @@ class TrajectoryRecord:
 
 @dataclass
 class RunResult:
-    """Outcome of a single training run."""
+    """Outcome of a single training run.
+
+    ``wall_time`` is the wall time of the stack the run was trained in.
+    """
 
     seed: int
     mode: str
@@ -78,6 +92,7 @@ class RunResult:
     best_val_step: int
     diverged: bool
     diverged_step: int | None
+    diverged_reason: str | None
     wall_time: float
 
     @property
@@ -99,97 +114,142 @@ def normalize_weights(raw) -> np.ndarray:
     return raw / raw.sum()
 
 
-def run_training(config: ExperimentConfig, seed: int) -> RunResult:
-    """Run the full training loop for one seed.
+def _start(config: ExperimentConfig, n_terms: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """A run's initial exponents, and its normalized weights when they are fixed."""
+    if config.mode == "learned":
+        return init_hp_state(n_terms - 1, config.optimizer.init_epsilon).mu.mu, None
+    lam = normalize_weights(config.fixed_weights)
+    if lam.size != n_terms:
+        raise ConfigError(f"{lam.size} fixed weights for {n_terms} loss terms")
+    mu0 = np.log(lam / lam[0])
+    mu0[0] = 0.0
+    return mu0, lam
 
-    Each step: draw a mini-batch, evaluate per-term losses, form the
-    mixture weights (learned via softmax of the exponents, or frozen),
-    compute the analytic parameter gradient and, in learned mode, the
-    exponent gradient, then apply the joint optimizer update. Validation
-    (the basic loss on the held-out split) is evaluated at every
-    recorded step. Divergence flags the run and preserves the partial
-    trajectory instead of raising.
+
+def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunResult]:
+    """Train one run per (config, seed) pair, all of them together.
+
+    The runs sit on a leading axis: parameters ``(R, P)``, exponents
+    ``(R, K+1)`` and batches ``(R, B, d)``. They may differ in seed,
+    ``fixed_weights`` and ``init_epsilon``; every other setting comes
+    from the first config. Each step draws a mini-batch per run,
+    evaluates the per-term losses, computes the parameter gradient under
+    the current mixture weights and, in learned mode, the exponent
+    gradient, then applies the joint optimizer update. Each run's
+    generator draws its initial parameters and then one permutation per
+    epoch, as it would alone. Validation (the basic loss on the held-out
+    split) is evaluated at every recorded step.
+
+    A run whose losses or new state are unusable at step t diverges at
+    t: it leaves the stack with its partial trajectory and reason, and
+    the other runs carry on.
     """
+    config = configs[0]
+    ocfg = config.optimizer
     model = build_model(config.model)
     train, val = make_synthetic_dataset(config.model, config.data_seed, config.n_train, config.n_val)
-    n_aux = len(model.loss_names) - 1
     names = tuple(model.loss_names)
-    ocfg = config.optimizer
+    starts = [_start(c, len(names)) for c in configs]
 
-    rng = np.random.default_rng(seed)
-    params = init_param_state(model.init_params(rng))
-
-    if config.mode == "fixed":
-        lam_fixed = normalize_weights(config.fixed_weights)
-        if lam_fixed.size != n_aux + 1:
-            raise ConfigError(f"{lam_fixed.size} fixed weights for {n_aux + 1} loss terms")
-        mu0 = np.log(lam_fixed / lam_fixed[0])
-        mu0[0] = 0.0
-        hps = HPState(mu=HPExponents(mu0), n=np.zeros(n_aux + 1), v=np.zeros(n_aux + 1))
-        step_cfg = replace(ocfg, hp_decay=0.0)  # freeze exponents entirely
-    else:
-        lam_fixed = None
-        hps = init_hp_state(n_aux, ocfg.init_epsilon)
-        step_cfg = ocfg
-
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    params = init_param_state(np.stack([model.init_params(rng) for rng in rngs]))
+    mu0 = np.stack([mu for mu, _ in starts])
+    hps = HPState(mu=HPExponents(mu0), n=np.zeros_like(mu0), v=np.zeros_like(mu0))
+    learned = config.mode == "learned"
+    step_cfg = ocfg if learned else replace(ocfg, hp_decay=0.0)  # freeze exponents entirely
     step_fn = sgdw_step if config.optimizer_kind == "sgdw" else adamw_step
-    sampler = BatchSampler(train, config.batch_size, rng)
-    zero_h = np.zeros(n_aux + 1)
+    sampler = BatchSampler(train, config.batch_size, rngs)
+    lam = softmax_weights(hps.mu).lam
+    h = np.zeros_like(mu0)
 
-    trajectory: list[TrajectoryRecord] = []
-    best_val = math.inf
-    best_step = 0
-    diverged = False
-    diverged_step = None
-    initial_mu = hps.mu.mu.copy()
+    live = np.arange(len(seeds))  # the stack's rows, as indices into ``seeds``
+    trajectories: list[list[TrajectoryRecord]] = [[] for _ in seeds]
+    best_val = [math.inf] * len(seeds)
+    best_step = [0] * len(seeds)
+    stopped: dict[int, tuple[int, str]] = {}  # run -> (step, reason)
     started = time.perf_counter()
 
-    for t in range(1, ocfg.total_steps + 1):
-        batch = sampler.next_batch()
-        lvals = model.losses(params.w, batch)
-        if not np.all(np.isfinite(lvals)):
-            diverged, diverged_step = True, t
-            break
-        weights = softmax_weights(hps.mu)
-        g = model.param_gradient(params.w, batch, weights.lam)
-        if config.mode == "learned":
-            h = hp_gradient_empirical(hps.mu, LossVector(lvals, names))
-        else:
-            h = zero_h
-        try:
+    with np.errstate(all="ignore"):  # a diverging run overflows; the checks below catch it
+        for t in range(1, ocfg.total_steps + 1):
+            batch = sampler.next_batch()
+            lvals = model.losses(params.w, batch)
+            g = model.param_gradient(params.w, batch, lam)
+            if learned:
+                h = hp_gradient_empirical(hps.mu, _trusted(LossVector, values=lvals, names=names))
             params, hps = step_fn(params, hps, g, h, t, step_cfg)
-        except TrainingDiverged as exc:
-            diverged, diverged_step = True, exc.step
-            break
 
-        if t % config.record_every == 0 or t == ocfg.total_steps:
-            lam_rec = softmax_weights(hps.mu).lam
-            val_basic = float(model.losses(params.w, val)[0])
-            record = TrajectoryRecord(
-                t=t,
-                mu=hps.mu.mu.copy(),
-                lam=lam_rec,
-                losses=lvals.copy(),
-                composite=float(lam_rec @ lvals),
-                regularizer=step_cfg.hp_decay * regularizer_value(hps.mu, 1.0),
-                val_basic_loss=val_basic,
-            )
-            trajectory.append(record)
-            if val_basic < best_val:
-                best_val, best_step = val_basic, t
+            faults = _faults(lvals, params.w, hps.mu.mu)
+            if faults is not None:
+                keep = np.array([fault is None for fault in faults])
+                stopped.update((int(r), (t, fault)) for r, fault in zip(live, faults) if fault)
+                live = live[keep]
+                if not live.size:
+                    break
+                sampler.keep(keep)
+                params = replace(params, w=params.w[keep], m=params.m[keep], v=params.v[keep])
+                hps = replace(hps, mu=_trusted(HPExponents, mu=hps.mu.mu[keep]), n=hps.n[keep], v=hps.v[keep])
+                lvals, lam, h = lvals[keep], lam[keep], h[keep]
+            if learned:
+                lam = softmax_weights(hps.mu).lam
 
-    return RunResult(
-        seed=seed,
-        mode=config.mode,
-        fixed_weights=lam_fixed,
-        initial_mu=initial_mu,
-        trajectory=trajectory,
-        best_val=best_val,
-        best_val_step=best_step,
-        diverged=diverged,
-        diverged_step=diverged_step,
-        wall_time=time.perf_counter() - started,
-    )
+            if t % config.record_every == 0 or t == ocfg.total_steps:
+                val_basic = model.losses(params.w, val)[:, 0]
+                if step_cfg.hp_decay:
+                    reg = step_cfg.hp_decay * regularizer_value(hps.mu, 1.0)
+                else:
+                    reg = np.zeros(live.size)
+                composite = (lam * lvals).sum(axis=-1)
+                for j, r in enumerate(live):
+                    trajectories[r].append(
+                        TrajectoryRecord(
+                            t=t,
+                            mu=hps.mu.mu[j].copy(),
+                            lam=lam[j].copy(),
+                            losses=lvals[j].copy(),
+                            composite=float(composite[j]),
+                            regularizer=float(reg[j]),
+                            val_basic_loss=float(val_basic[j]),
+                        )
+                    )
+                    if val_basic[j] < best_val[r]:
+                        best_val[r], best_step[r] = float(val_basic[j]), t
+
+    wall = time.perf_counter() - started
+    return [
+        RunResult(
+            seed=seed,
+            mode=config.mode,
+            fixed_weights=fixed,
+            initial_mu=mu0[r].copy(),
+            trajectory=trajectories[r],
+            best_val=best_val[r],
+            best_val_step=best_step[r],
+            diverged=r in stopped,
+            diverged_step=stopped[r][0] if r in stopped else None,
+            diverged_reason=stopped[r][1] if r in stopped else None,
+            wall_time=wall,
+        )
+        for r, (seed, (_, fixed)) in enumerate(zip(seeds, starts))
+    ]
+
+
+def _faults(lvals: np.ndarray, w: np.ndarray, mu: np.ndarray) -> list[str | None] | None:
+    """Per run, why it diverged at this step (None if it did not); None when no run did."""
+    state = state_faults(w, mu)
+    if state is None and np.isfinite(lvals).all():
+        return None
+    loss_ok = np.isfinite(lvals).all(axis=-1)
+    state = state or [None] * len(loss_ok)
+    return [fault if ok else NON_FINITE_LOSS for ok, fault in zip(loss_ok, state)]
+
+
+def run_training(config: ExperimentConfig, seed: int) -> RunResult:
+    """Run the full training loop for one seed: a stack of one run.
+
+    Divergence flags the run and preserves the partial trajectory
+    instead of raising.
+    """
+    return _train_stack([config], [seed])[0]
 
 
 @dataclass
@@ -198,7 +258,6 @@ class GridPointResult:
 
     raw_point: tuple[float, ...]
     lam: np.ndarray
-    log_ratio: float | None
     runs: list[RunResult]
 
     @property
@@ -222,58 +281,56 @@ class GridSearchResult:
     seeds: tuple[int, ...]
 
     @property
-    def best_index(self) -> int:
-        return int(np.argmin([p.mean_val for p in self.points]))
+    def best_index(self) -> int | None:
+        """The point with the lowest mean final val; None when no point has a finite mean."""
+        means = np.array([p.mean_val for p in self.points])
+        return int(np.argmin(means)) if np.isfinite(means).any() else None
 
     @property
-    def best_point(self) -> GridPointResult:
-        return self.points[self.best_index]
+    def best_point(self) -> GridPointResult | None:
+        best = self.best_index
+        return None if best is None else self.points[best]
 
 
-def grid_points(config: ExperimentConfig):
-    """Yield (raw_weights, log_ratio) for the configured grid.
+def grid_points(config: ExperimentConfig) -> list[tuple[float, ...]]:
+    """Raw weight vectors of the configured grid.
 
-    N-D grids come from the cartesian product of per-auxiliary-axis
-    raw weight values, with the basic weight pinned at 1. The 1-D
-    alternative places points uniformly in the log ratio of the single
-    auxiliary weight to the basic weight.
+    The cartesian product of the per-auxiliary-axis raw weight values,
+    with the basic weight pinned at 1.
     """
-    if config.grid_log_ratios:
-        for r in config.grid_log_ratios:
-            yield (1.0, 10.0 ** r), float(r)
-    elif config.grid_axes:
-        for combo in itertools.product(*config.grid_axes):
-            yield (1.0,) + tuple(combo), None
-    else:
-        raise ConfigError("grid search requires grid_axes or grid_log_ratios")
+    if not config.grid_axes:
+        raise ConfigError("grid search requires grid_axes")
+    return [(1.0,) + combo for combo in itertools.product(*config.grid_axes)]
 
 
 def run_grid_search(config: ExperimentConfig) -> GridSearchResult:
-    """One fixed-weight run per grid point per seed; divergence is recorded, not fatal."""
-    points = []
-    for raw, log_ratio in grid_points(config):
-        run_cfg = replace(config, mode="fixed", fixed_weights=raw)
-        runs = [run_training(run_cfg, seed) for seed in config.seeds]
-        points.append(
-            GridPointResult(
-                raw_point=raw,
-                lam=normalize_weights(raw),
-                log_ratio=log_ratio,
-                runs=runs,
-            )
-        )
-    if not points:
+    """One fixed-weight run per grid point per seed, all in one stack; divergence is recorded, not fatal."""
+    raws = grid_points(config)
+    if not raws:
         raise ConfigError("grid is empty")
-    return GridSearchResult(points=points, seeds=tuple(config.seeds))
+    seeds = tuple(config.seeds)
+    runs = _train_stack(
+        [replace(config, mode="fixed", fixed_weights=raw) for raw in raws for _ in seeds],
+        [seed for _ in raws for seed in seeds],
+    )
+    points = [
+        GridPointResult(raw, normalize_weights(raw), runs[i * len(seeds) : (i + 1) * len(seeds)])
+        for i, raw in enumerate(raws)
+    ]
+    return GridSearchResult(points=points, seeds=seeds)
 
 
 @dataclass
 class SeedStudyReport:
-    """Cross-seed stability of one configuration."""
+    """Cross-seed stability of one configuration.
+
+    The statistics cover the runs that did not diverge; a diverged run
+    has no final state to compare. With none left they are NaN.
+    """
 
     seeds: tuple[int, ...]
     runs: list[RunResult]
-    final_mu: np.ndarray        # (n_seeds, n_terms)
+    final_mu: np.ndarray        # (n_kept_seeds, n_terms)
     final_vals: np.ndarray
     mu_spread_final: np.ndarray  # per exponent: max pairwise |difference| at the end
     mu_range: np.ndarray         # per exponent: range traversed over all runs, incl. init
@@ -281,7 +338,7 @@ class SeedStudyReport:
 
     @property
     def val_mean(self) -> float:
-        return float(self.final_vals.mean())
+        return float(self.final_vals.mean()) if self.final_vals.size else math.nan
 
     @property
     def val_std(self) -> float:
@@ -289,24 +346,25 @@ class SeedStudyReport:
 
 
 def run_seed_study(config: ExperimentConfig, seeds=None) -> SeedStudyReport:
-    """Run one configuration across seeds and measure trajectory spread."""
+    """Run one configuration across seeds, in one stack, and measure trajectory spread."""
     seeds = tuple(seeds if seeds is not None else config.seeds)
     if len(seeds) < 2:
         raise ValueError("seed study needs at least 2 seeds")
-    runs = [run_training(config, seed) for seed in seeds]
-    if any(r.diverged for r in runs):
-        raise TrainingDiverged(
-            min(r.diverged_step or 0 for r in runs if r.diverged), "seed study run diverged"
-        )
-    final_mu = np.array([r.final.mu for r in runs])
-    final_vals = np.array([r.final_val for r in runs])
-    spread_final = final_mu.max(axis=0) - final_mu.min(axis=0)
-
-    all_mu = np.array([[rec.mu for rec in r.trajectory] for r in runs])  # (S, T, K+1)
-    inits = np.array([r.initial_mu for r in runs])
-    lo = np.minimum(all_mu.min(axis=(0, 1)), inits.min(axis=0))
-    hi = np.maximum(all_mu.max(axis=(0, 1)), inits.max(axis=0))
-    step_spread = (all_mu.max(axis=0) - all_mu.min(axis=0)).max(axis=0)
+    runs = _train_stack([config] * len(seeds), list(seeds))
+    kept = [r for r in runs if not r.diverged]
+    n_terms = runs[0].initial_mu.size
+    final_mu = np.array([r.final.mu for r in kept]).reshape(len(kept), n_terms)
+    final_vals = np.array([r.final_val for r in kept])
+    if kept:
+        spread_final = final_mu.max(axis=0) - final_mu.min(axis=0)
+        all_mu = np.array([[rec.mu for rec in r.trajectory] for r in kept])  # (S, T, K+1)
+        inits = np.array([r.initial_mu for r in kept])
+        lo = np.minimum(all_mu.min(axis=(0, 1)), inits.min(axis=0))
+        hi = np.maximum(all_mu.max(axis=(0, 1)), inits.max(axis=0))
+        mu_range = hi - lo
+        step_spread = (all_mu.max(axis=0) - all_mu.min(axis=0)).max(axis=0)
+    else:
+        spread_final = mu_range = step_spread = np.full(n_terms, math.nan)
 
     return SeedStudyReport(
         seeds=seeds,
@@ -314,7 +372,7 @@ def run_seed_study(config: ExperimentConfig, seeds=None) -> SeedStudyReport:
         final_mu=final_mu,
         final_vals=final_vals,
         mu_spread_final=spread_final,
-        mu_range=hi - lo,
+        mu_range=mu_range,
         step_spread_max=step_spread,
     )
 
@@ -353,16 +411,16 @@ class InitSweepReport:
 
 
 def run_init_sweep(config: ExperimentConfig, epsilons=None, seed=None) -> InitSweepReport:
-    """One learned-mode run per initialization scale, endpoints clustered."""
+    """One learned-mode run per initialization scale, all in one stack, endpoints clustered."""
     epsilons = tuple(epsilons if epsilons is not None else config.epsilon_sweep)
     if len(epsilons) < 2:
         raise ValueError("init sweep needs at least 2 epsilon values")
     seed = config.seeds[0] if seed is None else seed
     base = replace(config, mode="learned")
+    results = _train_stack([with_epsilon(base, eps) for eps in epsilons], [seed] * len(epsilons))
 
     entries = []
-    for eps in epsilons:
-        result = run_training(with_epsilon(base, eps), seed)
+    for eps, result in zip(epsilons, results):
         final = result.final
         final_mu = final.mu if final is not None else result.initial_mu
         final_lam = final.lam if final is not None else softmax_weights(HPExponents(final_mu)).lam
@@ -522,6 +580,7 @@ def run_summary(result: RunResult) -> dict:
         "best_val_step": result.best_val_step,
         "diverged": result.diverged,
         "diverged_step": result.diverged_step,
+        "diverged_reason": result.diverged_reason,
         "wall_time_sec": result.wall_time,
     }
 
@@ -532,7 +591,6 @@ def grid_summary(result: GridSearchResult) -> dict:
         rows.append(
             {
                 "raw_point": [float(v) for v in p.raw_point],
-                "log_ratio": p.log_ratio,
                 "lambda": [float(v) for v in p.lam],
                 "per_seed_val": {str(r.seed): (None if r.diverged else r.final_val) for r in p.runs},
                 "mean_val": None if math.isinf(p.mean_val) else p.mean_val,
@@ -543,16 +601,22 @@ def grid_summary(result: GridSearchResult) -> dict:
     return {"seeds": list(result.seeds), "points": rows, "best_index": result.best_index}
 
 
+def _finite(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def seed_study_summary(report: SeedStudyReport) -> dict:
     return {
         "seeds": list(report.seeds),
+        "diverged_seeds": [r.seed for r in report.runs if r.diverged],
         "final_mu": [[float(v) for v in row] for row in report.final_mu],
         "final_vals": [float(v) for v in report.final_vals],
-        "val_mean": report.val_mean,
+        "val_mean": _finite(report.val_mean),
         "val_std": report.val_std,
-        "mu_spread_final": [float(v) for v in report.mu_spread_final],
-        "mu_range": [float(v) for v in report.mu_range],
-        "step_spread_max": [float(v) for v in report.step_spread_max],
+        "mu_spread_final": [_finite(v) for v in report.mu_spread_final],
+        "mu_range": [_finite(v) for v in report.mu_range],
+        "step_spread_max": [_finite(v) for v in report.step_spread_max],
     }
 
 

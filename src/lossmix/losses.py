@@ -8,9 +8,11 @@ never rescales the objective), and leaves the exponents free for plain
 gradient descent. Index 0 is the basic task loss; its exponent stays
 frozen at zero, so only the exponents of the auxiliary terms move.
 
-All operations are pure functions of 1-D float64 vectors. Exponential
-sums subtract the running maximum before exponentiating so that large
-exponents cannot overflow; the shared shift cancels in every ratio.
+All operations are pure functions of float64 vectors along the last
+axis, so a stack of runs passes exponents and losses as ``(R, K+1)``
+rows and gets one result row per run. Exponential sums subtract the
+running maximum before exponentiating so that large exponents cannot
+overflow; the shared shift cancels in every ratio.
 """
 
 from __future__ import annotations
@@ -43,30 +45,51 @@ def _as_vector(x, name: str) -> np.ndarray:
     return arr
 
 
+def _as_rows(x, name: str) -> np.ndarray:
+    """A vector, or a stack of them with a leading run axis."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"{name} must be a vector or a stack of rows, got shape {arr.shape}")
+    return arr
+
+
 def _frozen_copy(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out.setflags(write=False)
     return out
 
 
+def _trusted(cls, **fields):
+    """``cls(**fields)`` without the constructor's checks.
+
+    The validating constructors guard values that come from outside. The
+    training loop wraps values it computed itself and checks the whole
+    state once per step instead (``optim.state_faults``).
+    """
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class HPExponents:
     """Log-space loss-weight exponents; entry 0 is pinned to zero.
 
-    A vector of length K+1 for one basic plus K >= 1 auxiliary terms.
-    Only relative exponents matter to the weight mapping, so the basic
-    entry carries no degree of freedom and must be exactly 0.
+    A vector of length K+1 for one basic plus K >= 1 auxiliary terms, or
+    an ``(R, K+1)`` stack of them, one row per run. Only relative
+    exponents matter to the weight mapping, so the basic entry carries
+    no degree of freedom and must be exactly 0.
     """
 
     mu: np.ndarray
 
     def __post_init__(self):
-        mu = _as_vector(self.mu, "mu")
-        if mu.size < 2:
+        mu = _as_rows(self.mu, "mu")
+        if mu.shape[-1] < 2:
             raise ValueError("need at least one auxiliary term (length >= 2)")
         if not np.all(np.isfinite(mu)):
             raise ValueError("exponents must be finite")
-        if mu[BASIC_INDEX] != 0.0:
+        if np.any(mu[..., BASIC_INDEX] != 0.0):
             raise ValueError("exponent of the basic loss must be 0")
         object.__setattr__(self, "mu", _frozen_copy(mu))
 
@@ -78,66 +101,68 @@ class HPExponents:
 
     @property
     def n_aux(self) -> int:
-        return self.mu.size - 1
+        return self.mu.shape[-1] - 1
 
     def __len__(self) -> int:
-        return self.mu.size
+        return self.mu.shape[-1]
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Strictly positive per-term weights that sum to one."""
+    """Strictly positive per-term weights that sum to one (per row of a stack)."""
 
     lam: np.ndarray
 
     def __post_init__(self):
-        lam = _as_vector(self.lam, "lam")
-        if lam.size < 2:
+        lam = _as_rows(self.lam, "lam")
+        if lam.shape[-1] < 2:
             raise ValueError("need at least two weights")
         if not np.all(np.isfinite(lam)):
             raise ValueError("weights must be finite")
         if np.any(lam <= 0.0):
             raise ValueError("weights must be strictly positive")
-        if abs(float(lam.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 within 1e-12, got {lam.sum()!r}")
+        sums = lam.sum(axis=-1)
+        if np.any(np.abs(sums - 1.0) > 1e-12):
+            raise ValueError(f"weights must sum to 1 within 1e-12, got {sums!r}")
         object.__setattr__(self, "lam", _frozen_copy(lam))
 
     def __len__(self) -> int:
-        return self.lam.size
+        return self.lam.shape[-1]
 
 
 @dataclass(frozen=True)
 class LossVector:
-    """Batch-mean loss values per term; names[0] is the basic task loss."""
+    """Batch-mean loss values per term (per row of a stack); names[0] is the basic task loss."""
 
     values: np.ndarray
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        values = _as_vector(self.values, "values")
-        if values.size < 1:
+        values = _as_rows(self.values, "values")
+        n_terms = values.shape[-1]
+        if n_terms < 1:
             raise ValueError("need at least one loss value")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"loss values must be finite, got {values!r}")
-        names = tuple(self.names) if self.names else tuple(f"l_{i}" for i in range(values.size))
-        if len(names) != values.size:
-            raise ValueError(f"{len(names)} names for {values.size} values")
+        names = tuple(self.names) if self.names else tuple(f"l_{i}" for i in range(n_terms))
+        if len(names) != n_terms:
+            raise ValueError(f"{len(names)} names for {n_terms} values")
         object.__setattr__(self, "values", _frozen_copy(values))
         object.__setattr__(self, "names", names)
 
     def __len__(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
 
 def softmax_weights(mu: HPExponents) -> LossWeights:
     """Map exponents to mixture weights, ``exp(mu_i) / sum_j exp(mu_j)``.
 
     Invariant under adding a constant to every exponent; always returns
-    a strictly positive vector summing to one.
+    a strictly positive vector summing to one, one per row of ``mu``.
     """
-    z = mu.mu - mu.mu.max()
-    e = np.exp(z)
-    return LossWeights(e / e.sum())
+    m = mu.mu
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return _trusted(LossWeights, lam=e / e.sum(axis=-1, keepdims=True))
 
 
 def composite_loss(weights: LossWeights, losses: LossVector) -> float:
@@ -161,13 +186,13 @@ def hp_gradient_empirical(mu: HPExponents, losses: LossVector) -> np.ndarray:
     """
     l = losses.values
     m = mu.mu
-    if m.size != l.size:
-        raise ValueError(f"length mismatch: {m.size} exponents vs {l.size} losses")
-    e = np.exp(m - m.max())  # shared shift cancels between numerator and denominator
-    denom = e.sum() ** 2
-    diffs = l[:, None] - l[None, :]  # diffs[i, j] = l_i - l_j; the j == i addend is 0
-    grad = e * (diffs @ e) / denom
-    grad[BASIC_INDEX] = 0.0
+    if m.shape != l.shape:
+        raise ValueError(f"shape mismatch: {m.shape} exponents vs {l.shape} losses")
+    e = np.exp(m - m.max(axis=-1, keepdims=True))  # shared shift cancels between numerator and denominator
+    denom = e.sum(axis=-1, keepdims=True) ** 2
+    diffs = l[..., :, None] - l[..., None, :]  # diffs[i, j] = l_i - l_j; the j == i addend is 0
+    grad = e * (diffs @ e[..., None])[..., 0] / denom
+    grad[..., BASIC_INDEX] = 0.0
     return grad
 
 
@@ -203,17 +228,18 @@ def regularizer_value(mu: HPExponents, rho: float) -> float:
 
     The entropy part favors weights spread evenly over the loss terms;
     the softplus part, summed over the auxiliary exponents only, bounds
-    how far any exponent can grow. Exactly linear in rho.
+    how far any exponent can grow. Exactly linear in rho. One value per
+    row of a stack.
     """
     if not rho > 0.0:  # also rejects NaN
         raise ValueError(f"rho must be > 0, got {rho!r}")
     m = mu.mu
-    z = m - m.max()
+    z = m - m.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    total = e.sum()
+    total = e.sum(axis=-1, keepdims=True)
     log_p = z - np.log(total)
-    neg_entropy = float((e / total) @ log_p)
-    return rho * (neg_entropy + float(_softplus(m[1:]).sum()))
+    neg_entropy = ((e / total)[..., None, :] @ log_p[..., :, None])[..., 0, 0]
+    return rho * (neg_entropy + _softplus(m[..., 1:]).sum(axis=-1))
 
 
 def regularizer_gradient(mu: HPExponents) -> np.ndarray:
@@ -228,9 +254,9 @@ def regularizer_gradient(mu: HPExponents) -> np.ndarray:
     function stays rho-free.
     """
     m = mu.mu
-    e = np.exp(m - m.max())
-    denom = e.sum() ** 2
-    pair = m[:, None] - m[None, :]  # pair[i, j] = mu_i - mu_j
-    grad = e * (pair @ e) / denom + _sigmoid(m)
-    grad[BASIC_INDEX] = 0.0
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    denom = e.sum(axis=-1, keepdims=True) ** 2
+    pair = m[..., :, None] - m[..., None, :]  # pair[i, j] = mu_i - mu_j
+    grad = e * (pair @ e[..., None])[..., 0] / denom + _sigmoid(m)
+    grad[..., BASIC_INDEX] = 0.0
     return grad

@@ -14,6 +14,11 @@ that one is helpful and one is harmful by construction:
 Gradients are coded by hand from the closed forms (no autodiff), which
 keeps the finite-difference oracle in ``gradcheck`` an independent
 check rather than a tautology.
+
+Losses and gradients also take a stack of runs: parameters ``(R, P)``,
+weights ``(R, K+1)`` and batches ``(R, B, d)`` give one result row per
+run. A dataset without the run axis, such as the validation split, is
+shared by every run of the stack.
 """
 
 from __future__ import annotations
@@ -85,7 +90,9 @@ class Dataset:
 
     ``jittered`` holds the fixed perturbed copy of ``inputs`` used by
     the consistency term; ``noise_targets`` the fixed random channel
-    used by the harmful term.
+    used by the harmful term. Inputs are ``(n, d)``, or ``(R, n, d)``
+    for the batches of a stack of runs; the target channels drop the
+    feature axis.
     """
 
     inputs: np.ndarray
@@ -98,20 +105,23 @@ class Dataset:
     def __post_init__(self):
         if self.split not in ("train", "validation"):
             raise ValueError(f"split must be 'train' or 'validation', got {self.split!r}")
-        n = self.inputs.shape[0]
-        if n < 1:
+        rows = self.inputs.shape[:-1]
+        if rows[-1] < 1:
             raise ValueError("dataset must contain at least one sample")
         if self.jittered.shape != self.inputs.shape:
             raise ValueError("jittered inputs must match inputs shape")
-        if self.targets.shape[0] != n or self.noise_targets.shape[0] != n:
+        if self.targets.shape != rows or self.noise_targets.shape != rows:
             raise ValueError("target channels must match the number of samples")
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.inputs.shape[-2]
 
 
 def take(dataset: Dataset, idx) -> Dataset:
-    """Row subset as a new Dataset (used for mini-batching)."""
+    """Row subset as a new Dataset (used for mini-batching).
+
+    An ``(R, B)`` index array gives one batch per run, stacked.
+    """
     return Dataset(
         inputs=dataset.inputs[idx],
         jittered=dataset.jittered[idx],
@@ -174,21 +184,25 @@ class LinearMultiLossModel:
         return rng.normal(0.0, 0.1, size=self.n_params)
 
     def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
-        p = batch.inputs @ w
-        pj = batch.jittered @ w
-        l0 = np.mean((p - batch.targets) ** 2)
-        l1 = np.mean((p - pj) ** 2)
-        l2 = np.mean((p - batch.noise_targets) ** 2)
-        return np.array([l0, l1, l2])
+        w = w[..., None]
+        p = (batch.inputs @ w)[..., 0]
+        pj = (batch.jittered @ w)[..., 0]
+        targets = (batch.targets, pj, batch.noise_targets)
+        terms = [((p - target) ** 2).sum(axis=-1, keepdims=True) for target in targets]
+        return np.concatenate(terms, axis=-1) / p.shape[-1]
 
     def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
-        n = len(batch)
-        p = batch.inputs @ w
-        diff = batch.inputs - batch.jittered
-        g0 = (2.0 / n) * batch.inputs.T @ (p - batch.targets)
-        g1 = (2.0 / n) * diff.T @ (diff @ w)
-        g2 = (2.0 / n) * batch.inputs.T @ (p - batch.noise_targets)
-        return lam[0] * g0 + lam[1] * g1 + lam[2] * g2
+        x = batch.inputs
+        n = x.shape[-2]
+        w = w[..., None]
+        p = (x @ w)[..., 0]
+        diff = x - batch.jittered
+        lam = lam[..., None]
+        # the basic and harmful terms share the factor x^T, so their residuals are summed first
+        resid = lam[..., 0, :] * (p - batch.targets) + lam[..., 2, :] * (p - batch.noise_targets)
+        g0_g2 = (resid[..., None, :] @ x)[..., 0, :]
+        g1 = (diff.swapaxes(-1, -2) @ (diff @ w))[..., 0]
+        return (2.0 / n) * (g0_g2 + lam[..., 1, :] * g1)
 
 
 class ConsistencyMLPModel:
@@ -212,18 +226,19 @@ class ConsistencyMLPModel:
 
     def _unpack(self, w: np.ndarray):
         d, hd = self.d, self.h
+        runs = w.shape[:-1]
         i = 0
-        w1 = w[i : i + d * hd].reshape(d, hd)
+        w1 = w[..., i : i + d * hd].reshape(runs + (d, hd))
         i += d * hd
-        b1 = w[i : i + hd]
+        b1 = w[..., i : i + hd]
         i += hd
-        w2 = w[i : i + hd * 2].reshape(hd, 2)
+        w2 = w[..., i : i + hd * 2].reshape(runs + (hd, 2))
         i += hd * 2
-        b2 = w[i : i + 2]
+        b2 = w[..., i : i + 2]
         i += 2
-        u = w[i : i + hd]
+        u = w[..., i : i + hd]
         i += hd
-        c = w[i]
+        c = w[..., i]
         return w1, b1, w2, b2, u, c
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
@@ -234,61 +249,63 @@ class ConsistencyMLPModel:
         return np.concatenate([w1.ravel(), np.zeros(hd), w2.ravel(), np.zeros(2), u, [0.0]])
 
     def _hidden(self, w1, b1, x):
-        return np.tanh(x @ w1 + b1)
+        return np.tanh(x @ w1 + b1[..., None, :])
 
     def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
         w1, b1, w2, b2, u, c = self._unpack(w)
         a1 = self._hidden(w1, b1, batch.inputs)
         a1j = self._hidden(w1, b1, batch.jittered)
-        logits = a1 @ w2 + b2
-        zs = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(zs).sum(axis=1))
-        y = batch.targets.astype(int)
-        n = len(batch)
-        l0 = float(np.mean(logz - zs[np.arange(n), y]))
-        l1 = float(np.mean((a1 - a1j) ** 2))
-        pred = a1 @ u + c
-        l2 = float(np.mean((pred - batch.noise_targets) ** 2))
-        return np.array([l0, l1, l2])
+        logits = a1 @ w2 + b2[..., None, :]
+        zs = logits - logits.max(axis=-1, keepdims=True)
+        logz = np.log(np.exp(zs).sum(axis=-1))
+        picked = np.where(batch.targets == 1.0, zs[..., 1], zs[..., 0])  # the true class's logit
+        l0 = np.mean(logz - picked, axis=-1, keepdims=True)
+        l1 = np.mean((a1 - a1j) ** 2, axis=(-2, -1))[..., None]
+        pred = (a1 @ u[..., None])[..., 0] + c[..., None]
+        l2 = np.mean((pred - batch.noise_targets) ** 2, axis=-1, keepdims=True)
+        return np.concatenate([l0, l1, l2], axis=-1)
 
     def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
         w1, b1, w2, b2, u, c = self._unpack(w)
         x, xj = batch.inputs, batch.jittered
-        n = len(batch)
+        n = x.shape[-2]
+        runs = w.shape[:-1]
+        lam = lam[..., None, None]
         a1 = self._hidden(w1, b1, x)
         a1j = self._hidden(w1, b1, xj)
+        a1t = a1.swapaxes(-1, -2)
 
         # cross-entropy head
-        logits = a1 @ w2 + b2
-        zs = logits - logits.max(axis=1, keepdims=True)
+        logits = a1 @ w2 + b2[..., None, :]
+        zs = logits - logits.max(axis=-1, keepdims=True)
         ez = np.exp(zs)
-        probs = ez / ez.sum(axis=1, keepdims=True)
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(n), batch.targets.astype(int)] = 1.0
-        dlogits = lam[0] * (probs - onehot) / n
-        dw2 = a1.T @ dlogits
-        db2 = dlogits.sum(axis=0)
-        da1 = dlogits @ w2.T
+        probs = ez / ez.sum(axis=-1, keepdims=True)
+        onehot = batch.targets[..., None] == np.array([0.0, 1.0])  # labels are 0 or 1
+        dlogits = lam[..., 0, :, :] * (probs - onehot) / n
+        dw2 = a1t @ dlogits
+        db2 = dlogits.sum(axis=-2)
+        da1 = dlogits @ w2.swapaxes(-1, -2)
 
         # consistency head, flows through both forward passes
         diff = a1 - a1j
-        scale = 2.0 / diff.size
-        da1 = da1 + lam[1] * scale * diff
-        da1j = -lam[1] * scale * diff
+        scale = 2.0 / (n * self.h)
+        da1 = da1 + lam[..., 1, :, :] * scale * diff
+        da1j = -lam[..., 1, :, :] * scale * diff
 
         # noise-fit regression head
-        pred = a1 @ u + c
-        dpred = lam[2] * (2.0 / n) * (pred - batch.noise_targets)
-        du = a1.T @ dpred
-        dc = dpred.sum()
-        da1 = da1 + np.outer(dpred, u)
+        pred = a1 @ u[..., None] + c[..., None, None]
+        dpred = lam[..., 2, :, :] * (2.0 / n) * (pred - batch.noise_targets[..., None])
+        du = (a1t @ dpred)[..., 0]
+        dc = dpred.sum(axis=-2)
+        da1 = da1 + dpred * u[..., None, :]
 
         dz1 = da1 * (1.0 - a1 * a1)
         dz1j = da1j * (1.0 - a1j * a1j)
-        dw1 = x.T @ dz1 + xj.T @ dz1j
-        db1 = dz1.sum(axis=0) + dz1j.sum(axis=0)
+        dw1 = x.swapaxes(-1, -2) @ dz1 + xj.swapaxes(-1, -2) @ dz1j
+        db1 = dz1.sum(axis=-2) + dz1j.sum(axis=-2)
 
-        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2, du, [dc]])
+        flat = runs + (-1,)
+        return np.concatenate([dw1.reshape(flat), db1, dw2.reshape(flat), db2, du, dc], axis=-1)
 
 
 class DuplicatedTermModel:
@@ -308,11 +325,11 @@ class DuplicatedTermModel:
 
     def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
         l = self.base.losses(w, batch)
-        return np.append(l, l[self.index])
+        return np.concatenate([l, l[..., self.index, None]], axis=-1)
 
     def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
-        folded = np.array(lam[:-1], dtype=np.float64)
-        folded[self.index] += lam[-1]
+        folded = np.array(lam[..., :-1], dtype=np.float64)
+        folded[..., self.index] += lam[..., -1]
         return self.base.param_gradient(w, batch, folded)
 
 
@@ -356,24 +373,37 @@ def eval_param_gradient(model, w, batch: Dataset, weights: LossWeights) -> np.nd
 
 
 class BatchSampler:
-    """Sequential mini-batches with a fresh shuffle at each epoch."""
+    """Sequential mini-batches with a fresh shuffle at each epoch.
 
-    def __init__(self, dataset: Dataset, batch_size: int, rng: np.random.Generator):
+    ``rng`` is one generator, or a sequence of them for a stack of runs:
+    each run then shuffles with its own generator, one epoch at a time,
+    and batches gain a leading run axis. The runs share the cursor, so
+    the short last batch of an epoch (when ``batch_size`` does not divide
+    the dataset) is equally short for all of them.
+    """
+
+    def __init__(self, dataset: Dataset, batch_size: int, rng):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.dataset = dataset
         self.batch_size = min(batch_size, len(dataset))
-        self.rng = rng
-        self._order = np.empty(0, dtype=np.intp)
+        self._stacked = not isinstance(rng, np.random.Generator)
+        self._rngs = list(rng) if self._stacked else [rng]
+        self._order = np.empty((len(self._rngs), 0), dtype=np.intp)
         self._cursor = 0
 
     def next_batch(self) -> Dataset:
-        if self._cursor >= len(self._order):
-            self._order = self.rng.permutation(len(self.dataset))
+        if self._cursor >= self._order.shape[1]:
+            self._order = np.stack([rng.permutation(len(self.dataset)) for rng in self._rngs])
             self._cursor = 0
-        idx = self._order[self._cursor : self._cursor + self.batch_size]
+        idx = self._order[:, self._cursor : self._cursor + self.batch_size]
         self._cursor += self.batch_size
-        return take(self.dataset, idx)
+        return take(self.dataset, idx if self._stacked else idx[0])
+
+    def keep(self, runs: np.ndarray) -> None:
+        """Go on with only the runs of the stack where ``runs`` is True."""
+        self._rngs = [rng for rng, kept in zip(self._rngs, runs) if kept]
+        self._order = self._order[runs]
 
 
 def dataset_to_csv(dataset: Dataset, path) -> None:

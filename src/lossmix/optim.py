@@ -8,7 +8,8 @@ scaled once by the decay factor ``hp_decay``, and index 0 (the basic
 loss) never moves because its gradient entries are identically zero.
 
 Step functions are pure: they validate their inputs, never mutate the
-incoming states, and return fresh state objects.
+incoming states, and return fresh state objects. The same functions
+step one run or a stack of runs held along a leading run axis.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import BASIC_INDEX, HPExponents, regularizer_gradient
+from .losses import BASIC_INDEX, HPExponents, _trusted, regularizer_gradient
 
 __all__ = [
     "OptimizerConfig",
@@ -30,6 +31,7 @@ __all__ = [
     "schedule_multiplier",
     "sgdw_step",
     "adamw_step",
+    "state_faults",
 ]
 
 SCHEDULES = ("constant", "cosine", "step")
@@ -150,12 +152,11 @@ def schedule_multiplier(t: int, config: OptimizerConfig) -> float:
 
 
 def _clipped(g: np.ndarray, limit: float) -> np.ndarray:
+    """Scale each run's gradient down to norm ``limit`` when it is longer."""
     if limit <= 0.0:
         return g
-    norm = float(np.linalg.norm(g))
-    if norm > limit:
-        return g * (limit / norm)
-    return g
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    return g * (limit / np.maximum(norm, limit))
 
 
 def _validated(params: ParamState, hps: HPState, g, h, t: int):
@@ -165,22 +166,55 @@ def _validated(params: ParamState, hps: HPState, g, h, t: int):
         raise ValueError(f"parameter gradient shape {g.shape} != {params.w.shape}")
     if h.shape != hps.mu.mu.shape:
         raise ValueError(f"exponent gradient shape {h.shape} != {hps.mu.mu.shape}")
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+    # a stack leaves non-finite gradients to the state check, which drops only the runs they hit
+    if g.ndim == 1 and not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
         raise TrainingDiverged(t, "non-finite gradient")
-    if h[BASIC_INDEX] != 0.0:
+    if h[..., BASIC_INDEX].any():
         raise ValueError("gradient entry for the frozen basic exponent must be 0")
     return g, h
 
 
 # beyond this magnitude exp(mu) under/overflows and the weight mapping degenerates
 MU_LIMIT = 700.0
+NON_FINITE_STATE = "non-finite state after update"
+OUT_OF_RANGE = "exponent left the representable range"
 
 
-def _check_state(w: np.ndarray, mu: np.ndarray, t: int):
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu))):
-        raise TrainingDiverged(t, "non-finite state after update")
-    if np.any(np.abs(mu) > MU_LIMIT):
-        raise TrainingDiverged(t, "exponent left the representable range")
+def state_faults(w: np.ndarray, mu: np.ndarray) -> list[str | None] | None:
+    """Why each run's state is unusable, or None when every run's is usable.
+
+    ``w`` and ``mu`` are ``(R, P)`` and ``(R, K+1)``. The result holds
+    one entry per run: None for a usable state, else the reason.
+    """
+    # the usual case, checked over the whole stack at once; a NaN exponent fails the range test
+    if np.isfinite(w).all() and np.abs(mu).max() <= MU_LIMIT:
+        return None
+    finite_w = np.isfinite(w).all(axis=-1)
+    in_range = np.abs(mu).max(axis=-1) <= MU_LIMIT
+    finite = finite_w & np.isfinite(mu).all(axis=-1)
+    return [
+        None if usable else OUT_OF_RANGE if ok else NON_FINITE_STATE
+        for usable, ok in zip(finite_w & in_range, finite)
+    ]
+
+
+def _stepped(params: ParamState, hps: HPState, w, m, v, mu, n, u, t: int):
+    """The new states; a single run raises on divergence, a stack leaves it to ``state_faults``."""
+    if w.ndim == 1:
+        faults = state_faults(w[None], mu[None])
+        if faults:
+            raise TrainingDiverged(t, faults[0])
+    return (
+        ParamState(w=w, m=m, v=v, step=params.step + 1),
+        HPState(mu=_trusted(HPExponents, mu=mu), n=n, v=u, step=hps.step + 1),
+    )
+
+
+def _decoupled_decay(hps: HPState, lr: float, config: OptimizerConfig):
+    """``lr * rho * dR(mu)``, or 0 when the regularizer is off (fixed weights)."""
+    if config.hp_decay == 0.0:
+        return 0.0
+    return lr * config.hp_decay * regularizer_gradient(hps.mu)
 
 
 def sgdw_step(
@@ -199,25 +233,24 @@ def sgdw_step(
         w  <- w - m - eta a wd w         mu <- mu - n - eta a rho dR(mu)
 
     where dR is the unit-strength regularizer gradient at the previous
-    exponents and rho = ``hp_decay``.
+    exponents and rho = ``hp_decay``. States may carry a leading run
+    axis, ``(R, P)`` and ``(R, K+1)``; every run then takes the same step.
+    A single run raises :class:`TrainingDiverged` when its new state is
+    unusable; a stack returns it and the caller drops the runs that
+    :func:`state_faults` names.
     """
     g, h = _validated(params, hps, g, h, t)
-    eta = schedule_multiplier(t, config)
-    a = config.effective_alpha
+    lr = schedule_multiplier(t, config) * config.effective_alpha
     g = _clipped(g, config.grad_clip)
     h = _clipped(h, config.grad_clip)
 
-    m_new = config.beta1 * params.m + eta * a * g
-    w_new = params.w - m_new - eta * a * config.weight_decay * params.w
+    m_new = config.beta1 * params.m + lr * g
+    w_new = params.w - m_new - lr * config.weight_decay * params.w
 
-    n_new = config.beta1 * hps.n + eta * a * h
-    mu_new = hps.mu.mu - n_new - eta * a * config.hp_decay * regularizer_gradient(hps.mu)
+    n_new = config.beta1 * hps.n + lr * h
+    mu_new = hps.mu.mu - n_new - _decoupled_decay(hps, lr, config)
 
-    _check_state(w_new, mu_new, t)
-    return (
-        ParamState(w=w_new, m=m_new, v=params.v, step=params.step + 1),
-        HPState(mu=HPExponents(mu_new), n=n_new, v=hps.v, step=hps.step + 1),
-    )
+    return _stepped(params, hps, w_new, m_new, params.v, mu_new, n_new, hps.v, t)
 
 
 def adamw_step(
@@ -232,38 +265,26 @@ def adamw_step(
 
     Weight decay on ``w`` and the exponent regularizer on ``mu`` both
     enter decoupled from the adaptive part, each scaled by eta * alpha.
+    Stacked states and divergence are handled as in :func:`sgdw_step`.
     """
     g, h = _validated(params, hps, g, h, t)
-    eta = schedule_multiplier(t, config)
-    a = config.effective_alpha
-    eps = config.adam_eps
+    lr = schedule_multiplier(t, config) * config.effective_alpha
+    b1, b2, eps = config.beta1, config.beta2, config.adam_eps
     g = _clipped(g, config.grad_clip)
     h = _clipped(h, config.grad_clip)
 
     ps = params.step + 1
-    m_new = config.beta1 * params.m + (1.0 - config.beta1) * g
-    v_new = config.beta2 * params.v + (1.0 - config.beta2) * g * g
-    m_hat = m_new / (1.0 - config.beta1 ** ps)
-    v_hat = v_new / (1.0 - config.beta2 ** ps)
-    w_new = (
-        params.w
-        - eta * a * m_hat / (np.sqrt(v_hat) + eps)
-        - eta * a * config.weight_decay * params.w
-    )
+    m_new = b1 * params.m + (1.0 - b1) * g
+    v_new = b2 * params.v + (1.0 - b2) * g * g
+    m_hat = m_new / (1.0 - b1 ** ps)
+    v_hat = v_new / (1.0 - b2 ** ps)
+    w_new = params.w - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * config.weight_decay * params.w
 
     hs = hps.step + 1
-    n_new = config.beta1 * hps.n + (1.0 - config.beta1) * h
-    u_new = config.beta2 * hps.v + (1.0 - config.beta2) * h * h
-    n_hat = n_new / (1.0 - config.beta1 ** hs)
-    u_hat = u_new / (1.0 - config.beta2 ** hs)
-    mu_new = (
-        hps.mu.mu
-        - eta * a * n_hat / (np.sqrt(u_hat) + eps)
-        - eta * a * config.hp_decay * regularizer_gradient(hps.mu)
-    )
+    n_new = b1 * hps.n + (1.0 - b1) * h
+    u_new = b2 * hps.v + (1.0 - b2) * h * h
+    n_hat = n_new / (1.0 - b1 ** hs)
+    u_hat = u_new / (1.0 - b2 ** hs)
+    mu_new = hps.mu.mu - lr * n_hat / (np.sqrt(u_hat) + eps) - _decoupled_decay(hps, lr, config)
 
-    _check_state(w_new, mu_new, t)
-    return (
-        ParamState(w=w_new, m=m_new, v=v_new, step=ps),
-        HPState(mu=HPExponents(mu_new), n=n_new, v=u_new, step=hs),
-    )
+    return _stepped(params, hps, w_new, m_new, v_new, mu_new, n_new, u_new, t)

@@ -81,6 +81,7 @@ class TestTrainCommand:
         summary = json.loads((run_dir / "summary.json").read_text())
         assert summary["seed"] == 0
         assert summary["diverged"] is False
+        assert summary["diverged_reason"] is None
         capsys.readouterr()
 
     def test_matches_direct_library_call(self, config_path, tmp_path, capsys):
@@ -118,6 +119,8 @@ class TestTrainCommand:
         payload = json.loads(captured.err.strip().splitlines()[-1])
         assert payload["error"] == "diverged"
         assert (out / "train_seed0" / "trajectory.csv").exists()
+        summary = json.loads((out / "train_seed0" / "summary.json").read_text())
+        assert summary["diverged_reason"] == "exponent left the representable range"
 
     def test_env_var_out_dir(self, config_path, tmp_path, capsys, monkeypatch):
         env_out = tmp_path / "env_out"
@@ -140,6 +143,21 @@ class TestGridCommand:
         capsys.readouterr()
 
 
+    def test_all_diverged_exits_4_with_null_best(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "grid", "--config", str(config_path), "--out", str(out),
+            "--override", "alpha=1e12", "--override", "total_steps=50",
+        ])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "diverged"
+        summary = json.loads((out / "grid_summary.json").read_text())
+        assert summary["best_index"] is None
+        assert summary["points"][0]["diverged_seeds"] == [0, 1]
+        assert (out / "grid_p01_seed1" / "summary.json").exists()
+
+
 class TestSeedStudyCommand:
     def test_writes_summary(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -148,6 +166,21 @@ class TestSeedStudyCommand:
         assert summary["seeds"] == [0, 1]
         assert len(summary["final_mu"]) == 2
         capsys.readouterr()
+
+
+    def test_diverged_exits_4_with_partial_outputs(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "seed-study", "--config", str(config_path), "--out", str(out),
+            "--override", "alpha=1e12", "--override", "total_steps=50",
+        ])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "diverged"
+        summary = json.loads((out / "seed_study_summary.json").read_text())
+        assert summary["diverged_seeds"] == [0, 1]
+        run = json.loads((out / "study_seed1" / "summary.json").read_text())
+        assert run["diverged"] is True and run["diverged_reason"]
 
 
 class TestInitSweepCommand:

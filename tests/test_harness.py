@@ -11,7 +11,6 @@ import pytest
 from lossmix.config import ConfigError, ExperimentConfig
 from lossmix.harness import (
     export_results,
-    grid_points,
     import_results,
     normalize_weights,
     run_grid_search,
@@ -40,6 +39,24 @@ def small_config(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def records_close(a, b, tol=1e-12):
+    """Equal step numbers, and every recorded value equal within ``tol`` relative."""
+    if [r.t for r in a] != [r.t for r in b]:
+        return False
+    for ra, rb in zip(a, b):
+        for fa, fb in (
+            (ra.mu, rb.mu),
+            (ra.lam, rb.lam),
+            (ra.losses, rb.losses),
+            (ra.composite, rb.composite),
+            (ra.regularizer, rb.regularizer),
+            (ra.val_basic_loss, rb.val_basic_loss),
+        ):
+            if not np.allclose(fa, fb, rtol=tol, atol=tol):
+                return False
+    return True
 
 
 def records_equal(a, b):
@@ -122,6 +139,7 @@ class TestRunTraining:
         result = run_training(cfg, 0)
         assert result.diverged
         assert result.diverged_step is not None
+        assert result.diverged_reason == "exponent left the representable range"
         assert len(result.trajectory) < 6
 
     def test_best_val_tracked(self):
@@ -148,18 +166,6 @@ class TestGridSearch:
             for run in point.runs:
                 np.testing.assert_allclose(run.trajectory[0].lam, raw / raw.sum(), atol=1e-12)
 
-    def test_log_ratio_grid_weight_pairs(self):
-        cfg = small_config(
-            model=ToyModelSpec(kind="multiloss_linear_regression", n_features=8, duplicate_term=0),
-            grid_log_ratios=(-2.0, -1.0, 0.0, 1.0, 2.0),
-        )
-        points = list(grid_points(cfg))
-        assert len(points) == 5
-        for (raw, log_ratio) in points:
-            lam = normalize_weights(raw)
-            r = 10.0 ** log_ratio
-            np.testing.assert_allclose(lam, [1.0 / (1.0 + r), r / (1.0 + r)], atol=1e-12)
-
     def test_best_point_selected_by_mean_val(self):
         cfg = small_config(grid_axes=((0.1, 1.0), (0.1,)), seeds=(0, 1))
         grid = run_grid_search(cfg)
@@ -169,6 +175,63 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             run_grid_search(small_config())
+
+
+class TestStackedEngine:
+    """Drivers train all their runs in one stack; each row must behave as a lone run."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"mode": "fixed", "fixed_weights": (1.0, 0.25, 0.1)},
+            {
+                "model": ToyModelSpec(kind="tiny_mlp_consistency", n_features=6, hidden_units=5),
+                "optimizer_kind": "adamw",
+                "optimizer": OptimizerConfig(alpha=0.01, hp_decay=1.0, init_epsilon=0.1, total_steps=300),
+            },
+        ],
+        ids=["linear-sgdw-learned", "linear-fixed", "mlp-adamw-learned"],
+    )
+    def test_stack_matches_single_runs(self, overrides):
+        cfg = small_config(**overrides)
+        seeds = (0, 1, 5)
+        stacked = run_seed_study(cfg, seeds=seeds).runs
+        for run, seed in zip(stacked, seeds):
+            alone = run_training(cfg, seed)
+            assert not run.diverged and not alone.diverged
+            assert records_close(run.trajectory, alone.trajectory)
+
+    def test_ragged_last_batch_matches_single_runs(self):
+        cfg = small_config(n_train=30, batch_size=8)  # epochs of 8, 8, 8, 6
+        stacked = run_seed_study(cfg, seeds=(0, 1)).runs
+        for run in stacked:
+            assert records_close(run.trajectory, run_training(cfg, run.seed).trajectory)
+
+    def test_diverging_row_leaves_the_others_bitwise_unchanged(self):
+        # a raw weight of 1e305 puts its exponent past MU_LIMIT, so those runs diverge at
+        # step 1 and the rows after them move up in the stack
+        with_bad = run_grid_search(small_config(grid_axes=((1e305, 0.25), (0.1,)), seeds=(0, 1)))
+        without = run_grid_search(small_config(grid_axes=((0.25,), (0.1,)), seeds=(0, 1)))
+        for run in with_bad.points[0].runs:
+            assert run.diverged and run.diverged_step == 1
+            assert run.diverged_reason == "exponent left the representable range"
+            assert run.trajectory == []
+        for a, b in zip(with_bad.points[1].runs, without.points[0].runs):
+            assert not a.diverged
+            assert records_equal(a.trajectory, b.trajectory)
+        assert with_bad.best_index == 1
+
+    def test_all_rows_diverged(self):
+        cfg = small_config(
+            optimizer=OptimizerConfig(alpha=1e12, beta1=0.9, hp_decay=1.0, total_steps=300)
+        )
+        report = run_seed_study(cfg, seeds=(0, 1))
+        assert all(run.diverged for run in report.runs)
+        assert report.final_mu.shape == (0, 3)
+        assert math.isnan(report.val_mean)
+        grid = run_grid_search(replace(cfg, grid_axes=((0.25, 1.0), (0.1,))))
+        assert grid.best_index is None and grid.best_point is None
 
 
 class TestSeedStudy:
