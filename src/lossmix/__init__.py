@@ -39,8 +39,6 @@ from .models import (
     Dataset,
     ToyModelSpec,
     build_model,
-    dataset_from_csv,
-    dataset_to_csv,
     eval_losses,
     eval_param_gradient,
     make_synthetic_dataset,

@@ -1,8 +1,9 @@
 """Command-line entry point; thin dispatch onto gradcheck and harness.
 
 Exit codes: 0 success, 1 gradient check failed tolerance, 2 usage error,
-3 config error, 4 training diverged (partial outputs are still written).
-Failures print a single JSON line on stderr.
+3 config error or a path that cannot be read or written, 4 training
+diverged (partial outputs are still written). Failures print a single
+JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def cmd_export(args) -> int:
                 raise ValueError("cannot infer column arity from an empty JSON trajectory")
             n_terms = trajectory_arity(args.input)
         export_results(records, args.format, args.out_file, n_terms=n_terms)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(json.dumps({"written": args.out_file, "records": len(records)}))
     return EXIT_OK
@@ -260,6 +261,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         _error_line("config", str(exc))
+        return EXIT_CONFIG
+    except OSError as exc:
+        _error_line("io", str(exc))
         return EXIT_CONFIG
     except TrainingDiverged as exc:
         _error_line("diverged", str(exc))

@@ -5,11 +5,16 @@ ignored. List values are comma-separated; grid axes are semicolon-
 separated lists. Unknown keys are rejected so typos fail loudly.
 Overrides are ``key=value`` strings applied after the file, last one
 wins per key.
+
+Each key is stated once, as a field of ``ToyModelSpec``,
+``OptimizerConfig`` or ``ExperimentConfig``: the field's name is the key
+(``_RENAMED`` lists the four exceptions), its annotation picks the
+parser and its default is the key's default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .models import ToyModelSpec
@@ -35,44 +40,6 @@ def _ints(s: str) -> tuple[int, ...]:
 
 def _axes(s: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_floats(part) for part in s.split(";") if part.strip())
-
-
-# key -> parser; everything lands in one flat namespace
-CONFIG_KEYS = {
-    "model": str,
-    "n_features": int,
-    "hidden_units": int,
-    "noise_std": float,
-    "jitter_std": float,
-    "harm_scale": float,
-    "duplicate_term": int,
-    "optimizer": str,
-    "alpha": float,
-    "beta1": float,
-    "beta2": float,
-    "weight_decay": float,
-    "hp_decay": float,
-    "init_epsilon": float,
-    "adam_eps": float,
-    "grad_clip": float,
-    "schedule": str,
-    "schedule_milestones": _ints,
-    "schedule_factor": float,
-    "total_steps": int,
-    "lr_scale": float,
-    "mode": str,
-    "fixed_weights": _floats,
-    "grid_axes": _axes,
-    "seeds": _ints,
-    "data_seed": int,
-    "n_train": int,
-    "n_val": int,
-    "batch_size": int,
-    "record_every": int,
-    "out_dir": str,
-    "epsilon_sweep": _floats,
-    "cluster_threshold": float,
-}
 
 
 @dataclass(frozen=True)
@@ -117,6 +84,56 @@ class ExperimentConfig:
             raise ConfigError("cluster_threshold must be > 0")
 
 
+# field annotation -> parser of a key's text value
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _ints,
+    "tuple[float, ...]": _floats,
+    "tuple[tuple[float, ...], ...]": _axes,
+}
+# config key -> the field it sets, where the two names differ
+_RENAMED = {
+    "model": "kind",
+    "optimizer": "optimizer_kind",
+    "schedule_milestones": "milestones",
+    "schedule_factor": "step_factor",
+}
+# ExperimentConfig's nested fields, and the dataclass each holds; None is ExperimentConfig itself
+_SECTIONS = {"model": ToyModelSpec, "optimizer": OptimizerConfig, None: ExperimentConfig}
+
+
+def _key_tables() -> tuple[dict, dict]:
+    """Per config key, its parser and the (section, field name) it sets."""
+    key_of = {name: key for key, name in _RENAMED.items()}
+    parsers, targets = {}, {}
+    for section, cls in _SECTIONS.items():
+        for f in fields(cls):
+            if cls is ExperimentConfig and f.name in _SECTIONS:
+                continue  # a nested spec: its own fields are the keys
+            key = key_of.get(f.name, f.name)
+            parsers[key] = _PARSERS[f.type]
+            targets[key] = (section, f.name)
+    return parsers, targets
+
+
+# key -> parser; everything lands in one flat namespace
+CONFIG_KEYS, _TARGETS = _key_tables()
+
+
+def _parse(assignment: str, where: str = "", what: str = "") -> tuple:
+    """``(key, parsed value)`` of one ``key = value``; ``where`` and ``what`` place it in error messages."""
+    key, _, text = assignment.partition("=")
+    key = key.strip()
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"{where}unknown {what}key {key!r}")
+    try:
+        return key, CONFIG_KEYS[key](text.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad {what}value for {key!r}: {exc}") from exc
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse flat key = value lines into a {key: parsed value} mapping."""
     values: dict = {}
@@ -126,70 +143,29 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = CONFIG_KEYS[key](val)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+        key, value = _parse(line, where=f"{source}:{lineno}: ")
+        values[key] = value
     return values
 
 
 def build_config(values: dict) -> ExperimentConfig:
-    """Assemble the nested config objects from a flat mapping."""
+    """Set the given keys on the default config; every other field keeps its dataclass default."""
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
+    changes: dict = {section: {} for section in _SECTIONS}
+    for key, value in values.items():
+        section, name = _TARGETS[key]
+        changes[section][name] = value
+    base = ExperimentConfig()
     try:
-        model = ToyModelSpec(
-            kind=values.get("model", ToyModelSpec.kind),
-            n_features=values.get("n_features", ToyModelSpec.n_features),
-            hidden_units=values.get("hidden_units", ToyModelSpec.hidden_units),
-            noise_std=values.get("noise_std", ToyModelSpec.noise_std),
-            jitter_std=values.get("jitter_std", ToyModelSpec.jitter_std),
-            harm_scale=values.get("harm_scale", ToyModelSpec.harm_scale),
-            duplicate_term=values.get("duplicate_term", ToyModelSpec.duplicate_term),
+        return replace(
+            base,
+            model=replace(base.model, **changes["model"]),
+            optimizer=replace(base.optimizer, **changes["optimizer"]),
+            **changes[None],
         )
-        optimizer = OptimizerConfig(
-            alpha=values.get("alpha", 0.05),
-            beta1=values.get("beta1", 0.9),
-            beta2=values.get("beta2", 0.999),
-            weight_decay=values.get("weight_decay", 0.0),
-            hp_decay=values.get("hp_decay", 0.5),
-            init_epsilon=values.get("init_epsilon", 0.1),
-            schedule=values.get("schedule", "constant"),
-            milestones=values.get("schedule_milestones", ()),
-            step_factor=values.get("schedule_factor", 0.1),
-            total_steps=values.get("total_steps", 5000),
-            lr_scale=values.get("lr_scale", 1.0),
-            grad_clip=values.get("grad_clip", 0.0),
-            adam_eps=values.get("adam_eps", 1e-8),
-        )
-        return ExperimentConfig(
-            model=model,
-            optimizer=optimizer,
-            optimizer_kind=values.get("optimizer", "sgdw"),
-            mode=values.get("mode", "learned"),
-            fixed_weights=values.get("fixed_weights", ()),
-            grid_axes=values.get("grid_axes", ()),
-            seeds=values.get("seeds", (0,)),
-            data_seed=values.get("data_seed", 0),
-            n_train=values.get("n_train", 32),
-            n_val=values.get("n_val", 256),
-            batch_size=values.get("batch_size", 8),
-            record_every=values.get("record_every", 100),
-            out_dir=values.get("out_dir", "runs"),
-            epsilon_sweep=values.get("epsilon_sweep", ()),
-            cluster_threshold=values.get("cluster_threshold", 0.05),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:  # a nested spec's check; ConfigError is a ValueError too
         raise ConfigError(str(exc)) from exc
 
 
@@ -199,14 +175,8 @@ def apply_overrides(values: dict, overrides) -> dict:
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown override key {key!r}")
-        try:
-            out[key] = CONFIG_KEYS[key](val.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad override value for {key!r}: {exc}") from exc
+        key, value = _parse(item, what="override ")
+        out[key] = value
     return out
 
 

@@ -508,23 +508,15 @@ def export_results(records, fmt: str, path, n_terms: int | None = None) -> Path:
 
 def _records_from_rows(columns, rows) -> list[TrajectoryRecord]:
     n_terms = sum(1 for c in columns if c.startswith("mu_"))
-    expected = trajectory_columns(n_terms)
-    if list(columns) != expected:
+    if list(columns) != trajectory_columns(n_terms):
         raise ValueError(f"unexpected trajectory columns {list(columns)!r}")
     out = []
     for row in rows:
-        vals = dict(zip(columns, row))
-        out.append(
-            TrajectoryRecord(
-                t=int(vals["t"]),
-                mu=np.array([float(vals[f"mu_{i}"]) for i in range(n_terms)]),
-                lam=np.array([float(vals[f"lambda_{i}"]) for i in range(n_terms)]),
-                losses=np.array([float(vals[f"l_{i}"]) for i in range(n_terms)]),
-                composite=float(vals["L_e"]),
-                regularizer=float(vals["L_r"]),
-                val_basic_loss=float(vals["val_basic_loss"]),
-            )
-        )
+        if len(row) != len(columns):
+            raise ValueError(f"trajectory row has {len(row)} values for {len(columns)} columns")
+        vals = [float(v) for v in row[1:]]
+        mu, lam, losses = (np.array(vals[i * n_terms : (i + 1) * n_terms]) for i in range(3))
+        out.append(TrajectoryRecord(int(row[0]), mu, lam, losses, *vals[3 * n_terms :]))
     return out
 
 
@@ -564,77 +556,85 @@ def import_results(path, fmt: str | None = None) -> list[TrajectoryRecord]:
 # ---------------------------------------------------------------------------
 # plain-dict summaries (JSON-ready, used by the CLI)
 
+def _jsonable(value):
+    """``value`` ready for ``json.dump``: arrays and tuples as lists, non-finite floats as None."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, float):  # np.float64 included
+        return float(value) if math.isfinite(value) else None
+    return value
+
+
 def run_summary(result: RunResult) -> dict:
     final = result.final
-    return {
+    return _jsonable({
         "seed": result.seed,
         "mode": result.mode,
-        "fixed_weights": None if result.fixed_weights is None else [float(v) for v in result.fixed_weights],
-        "initial_mu": [float(v) for v in result.initial_mu],
+        "fixed_weights": result.fixed_weights,
+        "initial_mu": result.initial_mu,
         "steps_recorded": len(result.trajectory),
         "final_step": final.t if final else None,
-        "final_mu": [float(v) for v in final.mu] if final else None,
-        "final_lambda": [float(v) for v in final.lam] if final else None,
+        "final_mu": final.mu if final else None,
+        "final_lambda": final.lam if final else None,
         "final_val_basic_loss": final.val_basic_loss if final else None,
-        "best_val_basic_loss": None if math.isinf(result.best_val) else result.best_val,
+        "best_val_basic_loss": result.best_val,
         "best_val_step": result.best_val_step,
         "diverged": result.diverged,
         "diverged_step": result.diverged_step,
         "diverged_reason": result.diverged_reason,
         "wall_time_sec": result.wall_time,
-    }
+    })
 
 
 def grid_summary(result: GridSearchResult) -> dict:
-    rows = []
-    for p in result.points:
-        rows.append(
+    return _jsonable({
+        "seeds": result.seeds,
+        "points": [
             {
-                "raw_point": [float(v) for v in p.raw_point],
-                "lambda": [float(v) for v in p.lam],
+                "raw_point": p.raw_point,
+                "lambda": p.lam,
                 "per_seed_val": {str(r.seed): (None if r.diverged else r.final_val) for r in p.runs},
-                "mean_val": None if math.isinf(p.mean_val) else p.mean_val,
+                "mean_val": p.mean_val,
                 "std_val": p.std_val,
                 "diverged_seeds": [r.seed for r in p.runs if r.diverged],
             }
-        )
-    return {"seeds": list(result.seeds), "points": rows, "best_index": result.best_index}
-
-
-def _finite(value) -> float | None:
-    value = float(value)
-    return value if math.isfinite(value) else None
+            for p in result.points
+        ],
+        "best_index": result.best_index,
+    })
 
 
 def seed_study_summary(report: SeedStudyReport) -> dict:
-    return {
-        "seeds": list(report.seeds),
+    return _jsonable({
+        "seeds": report.seeds,
         "diverged_seeds": [r.seed for r in report.runs if r.diverged],
-        "final_mu": [[float(v) for v in row] for row in report.final_mu],
-        "final_vals": [float(v) for v in report.final_vals],
-        "val_mean": _finite(report.val_mean),
+        "final_mu": report.final_mu,
+        "final_vals": report.final_vals,
+        "val_mean": report.val_mean,
         "val_std": report.val_std,
-        "mu_spread_final": [_finite(v) for v in report.mu_spread_final],
-        "mu_range": [_finite(v) for v in report.mu_range],
-        "step_spread_max": [_finite(v) for v in report.step_spread_max],
-    }
+        "mu_spread_final": report.mu_spread_final,
+        "mu_range": report.mu_range,
+        "step_spread_max": report.step_spread_max,
+    })
 
 
 def init_sweep_summary(report: InitSweepReport) -> dict:
-    return {
+    return _jsonable({
         "threshold": report.threshold,
         "n_clusters": report.n_clusters,
         "clusters": report.clusters,
-        "representatives": [[float(v) for v in rep] for rep in report.representatives],
+        "representatives": report.representatives,
         "entries": [
             {
                 "epsilon": e.epsilon,
                 "seed": e.seed,
-                "final_mu": [float(v) for v in e.final_mu],
-                "final_lambda": [float(v) for v in e.final_lam],
-                "final_val": None if math.isinf(e.final_val) else e.final_val,
+                "final_mu": e.final_mu,
+                "final_lambda": e.final_lam,
+                "final_val": e.final_val,
                 "diverged": e.diverged,
             }
             for e in report.entries
         ],
-    }
+    })

@@ -36,6 +36,8 @@ __all__ = [
 
 # Index of the basic loss term, whose exponent is pinned to zero.
 BASIC_INDEX = 0
+# Log of the smallest normal float64; exp of anything lower underflows toward 0.
+_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -158,10 +160,12 @@ def softmax_weights(mu: HPExponents) -> LossWeights:
     """Map exponents to mixture weights, ``exp(mu_i) / sum_j exp(mu_j)``.
 
     Invariant under adding a constant to every exponent; always returns
-    a strictly positive vector summing to one, one per row of ``mu``.
+    a strictly positive vector summing to one, one per row of ``mu``. An
+    exponent more than ~708 below the largest gets the smallest normal
+    float as its unnormalized weight instead of underflowing to 0.
     """
     m = mu.mu
-    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    e = np.exp(np.maximum(m - m.max(axis=-1, keepdims=True), _LOG_TINY))
     return _trusted(LossWeights, lam=e / e.sum(axis=-1, keepdims=True))
 
 

@@ -23,9 +23,7 @@ shared by every run of the stack.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,8 +44,6 @@ __all__ = [
     "take",
     "eval_losses",
     "eval_param_gradient",
-    "dataset_to_csv",
-    "dataset_from_csv",
 ]
 
 LINEAR_KIND = "multiloss_linear_regression"
@@ -404,44 +400,3 @@ class BatchSampler:
         """Go on with only the runs of the stack where ``runs`` is True."""
         self._rngs = [rng for rng, kept in zip(self._rngs, runs) if kept]
         self._order = self._order[runs]
-
-
-def dataset_to_csv(dataset: Dataset, path) -> None:
-    """Write one split to CSV (x_*, xj_*, target, noise_target, split, seed)."""
-    d = dataset.inputs.shape[1]
-    header = (
-        [f"x_{i}" for i in range(d)]
-        + [f"xj_{i}" for i in range(d)]
-        + ["target", "noise_target", "split", "seed"]
-    )
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            row = (
-                [repr(float(v)) for v in dataset.inputs[i]]
-                + [repr(float(v)) for v in dataset.jittered[i]]
-                + [repr(float(dataset.targets[i])), repr(float(dataset.noise_targets[i]))]
-                + [dataset.split, str(dataset.seed)]
-            )
-            writer.writerow(row)
-
-
-def dataset_from_csv(path) -> Dataset:
-    """Inverse of :func:`dataset_to_csv`; round-trips losslessly."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: empty dataset file")
-    d = sum(1 for name in header if name.startswith("x_") and not name.startswith("xj_"))
-    x = np.array([[float(v) for v in row[:d]] for row in rows])
-    xj = np.array([[float(v) for v in row[d : 2 * d]] for row in rows])
-    y = np.array([float(row[2 * d]) for row in rows])
-    r = np.array([float(row[2 * d + 1]) for row in rows])
-    split = rows[0][2 * d + 2]
-    seed = int(rows[0][2 * d + 3])
-    return Dataset(x, xj, y, r, split, seed)

@@ -108,6 +108,14 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_unwritable_out_exits_3_with_one_json_line(self, config_path, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        code = main(["train", "--config", str(config_path), "--out", str(blocker / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "io"
+
     def test_diverged_exits_4_with_partial_outputs(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         code = main([

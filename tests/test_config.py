@@ -1,14 +1,20 @@
 """Tests for the flat config-file parser and overrides."""
 
+import dataclasses
+
 import pytest
 
 from lossmix.config import (
+    CONFIG_KEYS,
     ConfigError,
+    ExperimentConfig,
     apply_overrides,
     build_config,
     load_config,
     parse_config_text,
 )
+from lossmix.models import ToyModelSpec
+from lossmix.optim import OptimizerConfig
 
 FULL = """
 # demo experiment
@@ -118,3 +124,88 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.cfg")
+
+
+# config key -> the field it sets, where the names differ
+RENAMED = {
+    "model": "kind",
+    "optimizer": "optimizer_kind",
+    "schedule_milestones": "milestones",
+    "schedule_factor": "step_factor",
+}
+
+# one valid non-default text per key, and the value it must parse to
+NON_DEFAULT = {
+    "model": ("tiny_mlp_consistency", "tiny_mlp_consistency"),
+    "n_features": ("5", 5),
+    "hidden_units": ("7", 7),
+    "noise_std": ("0.25", 0.25),
+    "jitter_std": ("0.75", 0.75),
+    "harm_scale": ("2", 2.0),
+    "duplicate_term": ("2", 2),
+    "optimizer": ("adamw", "adamw"),
+    "alpha": ("0.2", 0.2),
+    "beta1": ("0.5", 0.5),
+    "beta2": ("0.99", 0.99),
+    "weight_decay": ("0.01", 0.01),
+    "hp_decay": ("2", 2.0),
+    "init_epsilon": ("0.3", 0.3),
+    "adam_eps": ("1e-6", 1e-6),
+    "grad_clip": ("1.5", 1.5),
+    "schedule": ("step", "step"),
+    "schedule_milestones": ("10, 20", (10, 20)),
+    "schedule_factor": ("0.5", 0.5),
+    "total_steps": ("7", 7),
+    "lr_scale": ("2", 2.0),
+    "mode": ("fixed", "fixed"),
+    "fixed_weights": ("1,2,3", (1.0, 2.0, 3.0)),
+    "grid_axes": ("0.1,1 ; 0.5", ((0.1, 1.0), (0.5,))),
+    "seeds": ("3,4", (3, 4)),
+    "data_seed": ("11", 11),
+    "n_train": ("40", 40),
+    "n_val": ("50", 50),
+    "batch_size": ("4", 4),
+    "record_every": ("10", 10),
+    "out_dir": ("elsewhere", "elsewhere"),
+    "epsilon_sweep": ("0.01,0.1", (0.01, 0.1)),
+    "cluster_threshold": ("0.2", 0.2),
+}
+# keys that are only valid together with another
+NEEDS = {"mode": {"fixed_weights": (1.0, 2.0, 3.0)}}
+
+
+def _flat_fields(cfg: ExperimentConfig) -> dict:
+    """(section, field name) -> value over the three dataclasses; section None is ExperimentConfig."""
+    flat = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            flat.update({(f.name, g.name): getattr(value, g.name) for g in dataclasses.fields(value)})
+        else:
+            flat[(None, f.name)] = value
+    return flat
+
+
+_KEY_OF = {name: key for key, name in RENAMED.items()}
+# config key -> (section, field name), read off the dataclasses
+TARGETS = {_KEY_OF.get(name, name): (section, name) for section, name in _flat_fields(ExperimentConfig())}
+
+
+class TestKeyTable:
+    def test_keys_are_the_dataclass_fields(self):
+        assert set(CONFIG_KEYS) == set(TARGETS) == set(NON_DEFAULT)
+        assert len(TARGETS) == len(_flat_fields(ExperimentConfig()))
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert build_config({}) == ExperimentConfig()
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_key_parses_and_sets_its_field_only(self, key):
+        text, value = NON_DEFAULT[key]
+        parsed = parse_config_text(f"{key} = {text}")[key]
+        assert repr(parsed) == repr(value)  # the parser matches the field's type
+        base = NEEDS.get(key, {})
+        before = _flat_fields(build_config(base))
+        after = _flat_fields(build_config({**base, key: parsed}))
+        assert {k for k in before if before[k] != after[k]} == {TARGETS[key]}
+        assert repr(after[TARGETS[key]]) == repr(value)

@@ -334,6 +334,16 @@ class TestExportImport:
         payload = json.loads(path.read_text())
         assert list(payload[0].keys()) == trajectory_columns(3)
 
+    def test_short_row_rejected(self, tmp_path):
+        result = run_training(small_config(), 0)
+        path = tmp_path / "traj.csv"
+        export_results(result.trajectory, "csv", path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0]  # drop val_basic_loss from the first record
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="12 values for 13 columns"):
+            import_results(path)
+
 
 class TestHelpfulHarmfulConstruction:
     def test_high_harmful_weight_degrades_validation(self):

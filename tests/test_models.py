@@ -15,8 +15,6 @@ from lossmix.models import (
     LinearMultiLossModel,
     ToyModelSpec,
     build_model,
-    dataset_from_csv,
-    dataset_to_csv,
     eval_losses,
     eval_param_gradient,
     make_synthetic_dataset,
@@ -66,17 +64,6 @@ class TestDatasetGeneration:
     def test_mlp_labels_are_binary(self):
         train, _ = make_synthetic_dataset(MLP, 3, 40, 5)
         assert set(np.unique(train.targets)) <= {0.0, 1.0}
-
-    def test_csv_round_trip(self, tmp_path):
-        train, _ = make_synthetic_dataset(LIN, 9, 15, 5)
-        path = tmp_path / "train.csv"
-        dataset_to_csv(train, path)
-        back = dataset_from_csv(path)
-        np.testing.assert_array_equal(back.inputs, train.inputs)
-        np.testing.assert_array_equal(back.jittered, train.jittered)
-        np.testing.assert_array_equal(back.targets, train.targets)
-        np.testing.assert_array_equal(back.noise_targets, train.noise_targets)
-        assert back.split == train.split and back.seed == train.seed
 
 
 def naive_linear_losses(w, batch):
