@@ -15,6 +15,7 @@ from .harness import (
     InitSweepReport,
     RunResult,
     SeedStudyReport,
+    TrainingDiverged,
     TrajectoryRecord,
     export_results,
     import_results,
@@ -47,7 +48,6 @@ from .optim import (
     HPState,
     OptimizerConfig,
     ParamState,
-    TrainingDiverged,
     adamw_step,
     init_hp_state,
     init_param_state,

@@ -18,6 +18,7 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .gradcheck import check_hp_gradients, check_model_gradients, check_reg_gradients
 from .harness import (
+    TrainingDiverged,
     export_results,
     grid_summary,
     import_results,
@@ -31,7 +32,6 @@ from .harness import (
     trajectory_arity,
 )
 from .models import LINEAR_KIND, MLP_KIND, ToyModelSpec, build_model
-from .optim import TrainingDiverged
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -202,8 +202,8 @@ def cmd_grid(args) -> int:
 
 def cmd_seed_study(args) -> int:
     config = load_config(args.config, args.override)
-    out = _out_dir(args, config)
     report = run_seed_study(config)
+    out = _out_dir(args, config)
     for run in report.runs:
         _write_run(run, out / f"study_seed{run.seed}")
     summary = seed_study_summary(report)
@@ -215,10 +215,8 @@ def cmd_seed_study(args) -> int:
 
 def cmd_init_sweep(args) -> int:
     config = load_config(args.config, args.override)
-    if len(config.epsilon_sweep) < 2:
-        raise ConfigError("init-sweep requires an epsilon_sweep list with >= 2 values")
-    out = _out_dir(args, config)
     report = run_init_sweep(config)
+    out = _out_dir(args, config)
     summary = init_sweep_summary(report)
     _write_json(out / "init_sweep_summary.json", summary)
     print(json.dumps(summary, indent=2))

@@ -181,13 +181,9 @@ def apply_overrides(values: dict, overrides) -> dict:
 
 
 def load_config(path, overrides=()) -> ExperimentConfig:
-    """Read a config file, apply overrides, and build the typed config."""
+    """Read a config file (``OSError`` if unreadable), apply overrides, and build the typed config."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values = parse_config_text(text, source=str(path))
+    values = parse_config_text(path.read_text(), source=str(path))
     values = apply_overrides(values, overrides)
     return build_config(values)
 

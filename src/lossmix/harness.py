@@ -31,11 +31,12 @@ from .losses import (
     softmax_weights,
 )
 from .models import BatchSampler, build_model, make_synthetic_dataset
-from .optim import HPState, adamw_step, init_hp_state, init_param_state, sgdw_step, state_faults
+from .optim import HPState, adamw_step, init_hp_state, init_param_state, sgdw_step
 
 __all__ = [
     "TrajectoryRecord",
     "RunResult",
+    "TrainingDiverged",
     "GridPointResult",
     "GridSearchResult",
     "SeedStudyReport",
@@ -50,7 +51,19 @@ __all__ = [
     "normalize_weights",
 ]
 
+# beyond this magnitude exp(mu) under/overflows and the weight mapping degenerates
+MU_LIMIT = 700.0
 NON_FINITE_LOSS = "non-finite loss"
+NON_FINITE_STATE = "non-finite state after update"
+OUT_OF_RANGE = "exponent left the representable range"
+
+
+class TrainingDiverged(RuntimeError):
+    """A run's losses or updated state became unusable at ``step``."""
+
+    def __init__(self, step: int, what: str):
+        super().__init__(f"training diverged at step {step}: {what}")
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -234,13 +247,20 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
 
 
 def _faults(lvals: np.ndarray, w: np.ndarray, mu: np.ndarray) -> list[str | None] | None:
-    """Per run, why it diverged at this step (None if it did not); None when no run did."""
-    state = state_faults(w, mu)
-    if state is None and np.isfinite(lvals).all():
+    """Per run, why it diverged at this step (None if it did not); None when no run did.
+
+    A non-finite loss comes first, then a non-finite state, then an exponent past ``MU_LIMIT``.
+    """
+    # the usual case, checked over the whole stack at once; a NaN exponent fails the range test
+    if np.isfinite(w).all() and np.abs(mu).max() <= MU_LIMIT and np.isfinite(lvals).all():
         return None
     loss_ok = np.isfinite(lvals).all(axis=-1)
-    state = state or [None] * len(loss_ok)
-    return [fault if ok else NON_FINITE_LOSS for ok, fault in zip(loss_ok, state)]
+    finite = np.isfinite(w).all(axis=-1) & np.isfinite(mu).all(axis=-1)
+    in_range = np.abs(mu).max(axis=-1) <= MU_LIMIT
+    return [
+        NON_FINITE_LOSS if not loss else NON_FINITE_STATE if not state else OUT_OF_RANGE if not rng else None
+        for loss, state, rng in zip(loss_ok, finite, in_range)
+    ]
 
 
 def run_training(config: ExperimentConfig, seed: int) -> RunResult:
@@ -349,7 +369,7 @@ def run_seed_study(config: ExperimentConfig, seeds=None) -> SeedStudyReport:
     """Run one configuration across seeds, in one stack, and measure trajectory spread."""
     seeds = tuple(seeds if seeds is not None else config.seeds)
     if len(seeds) < 2:
-        raise ValueError("seed study needs at least 2 seeds")
+        raise ConfigError("seed study needs at least 2 seeds")
     runs = _train_stack([config] * len(seeds), list(seeds))
     kept = [r for r in runs if not r.diverged]
     n_terms = runs[0].initial_mu.size
@@ -414,7 +434,7 @@ def run_init_sweep(config: ExperimentConfig, epsilons=None, seed=None) -> InitSw
     """One learned-mode run per initialization scale, all in one stack, endpoints clustered."""
     epsilons = tuple(epsilons if epsilons is not None else config.epsilon_sweep)
     if len(epsilons) < 2:
-        raise ValueError("init sweep needs at least 2 epsilon values")
+        raise ConfigError("init sweep needs at least 2 epsilon values")
     seed = config.seeds[0] if seed is None else seed
     base = replace(config, mode="learned")
     results = _train_stack([with_epsilon(base, eps) for eps in epsilons], [seed] * len(epsilons))

@@ -66,7 +66,7 @@ def _trusted(cls, **fields):
 
     The validating constructors guard values that come from outside. The
     training loop wraps values it computed itself and checks the whole
-    state once per step instead (``optim.state_faults``).
+    state once per step instead (``harness._faults``).
     """
     obj = object.__new__(cls)
     vars(obj).update(fields)

@@ -7,9 +7,10 @@ regularizer enters the update decoupled from the momentum buffers,
 scaled once by the decay factor ``hp_decay``, and index 0 (the basic
 loss) never moves because its gradient entries are identically zero.
 
-Step functions are pure: they validate their inputs, never mutate the
-incoming states, and return fresh state objects. The same functions
-step one run or a stack of runs held along a leading run axis.
+Each family is one moment rule applied to both blocks. Steps are pure:
+they validate their inputs, never mutate the incoming states, and return
+fresh states without checking them (the training loop decides which runs
+diverged). They step one run or a stack of runs on a leading run axis.
 """
 
 from __future__ import annotations
@@ -25,24 +26,14 @@ __all__ = [
     "OptimizerConfig",
     "ParamState",
     "HPState",
-    "TrainingDiverged",
     "init_param_state",
     "init_hp_state",
     "schedule_multiplier",
     "sgdw_step",
     "adamw_step",
-    "state_faults",
 ]
 
 SCHEDULES = ("constant", "cosine", "step")
-
-
-class TrainingDiverged(RuntimeError):
-    """A non-finite value appeared in a gradient or an updated state."""
-
-    def __init__(self, step: int, what: str):
-        super().__init__(f"training diverged at step {step}: {what}")
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -159,72 +150,47 @@ def _clipped(g: np.ndarray, limit: float) -> np.ndarray:
     return g * (limit / np.maximum(norm, limit))
 
 
-def _validated(params: ParamState, hps: HPState, g, h, t: int):
+def _momentum(m, v, g, lr: float, step: int, config: OptimizerConfig):
+    """SGD momentum: the new first moment is the step itself; ``v`` is unused."""
+    m = config.beta1 * m + lr * g
+    return m, v, m
+
+
+def _adam(m, v, g, lr: float, step: int, config: OptimizerConfig):
+    """Adam moments with bias correction at ``step`` (1-based)."""
+    b1, b2 = config.beta1, config.beta2
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** step)
+    v_hat = v / (1.0 - b2 ** step)
+    return m, v, lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+
+
+def _joint_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig, moments):
+    """Apply the moment rule ``moments`` to both blocks, then each block's decoupled term."""
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if g.shape != params.w.shape:
         raise ValueError(f"parameter gradient shape {g.shape} != {params.w.shape}")
     if h.shape != hps.mu.mu.shape:
         raise ValueError(f"exponent gradient shape {h.shape} != {hps.mu.mu.shape}")
-    # a stack leaves non-finite gradients to the state check, which drops only the runs they hit
-    if g.ndim == 1 and not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-        raise TrainingDiverged(t, "non-finite gradient")
     if h[..., BASIC_INDEX].any():
         raise ValueError("gradient entry for the frozen basic exponent must be 0")
-    return g, h
+    lr = schedule_multiplier(t, config) * config.effective_alpha
 
-
-# beyond this magnitude exp(mu) under/overflows and the weight mapping degenerates
-MU_LIMIT = 700.0
-NON_FINITE_STATE = "non-finite state after update"
-OUT_OF_RANGE = "exponent left the representable range"
-
-
-def state_faults(w: np.ndarray, mu: np.ndarray) -> list[str | None] | None:
-    """Why each run's state is unusable, or None when every run's is usable.
-
-    ``w`` and ``mu`` are ``(R, P)`` and ``(R, K+1)``. The result holds
-    one entry per run: None for a usable state, else the reason.
-    """
-    # the usual case, checked over the whole stack at once; a NaN exponent fails the range test
-    if np.isfinite(w).all() and np.abs(mu).max() <= MU_LIMIT:
-        return None
-    finite_w = np.isfinite(w).all(axis=-1)
-    in_range = np.abs(mu).max(axis=-1) <= MU_LIMIT
-    finite = finite_w & np.isfinite(mu).all(axis=-1)
-    return [
-        None if usable else OUT_OF_RANGE if ok else NON_FINITE_STATE
-        for usable, ok in zip(finite_w & in_range, finite)
-    ]
-
-
-def _stepped(params: ParamState, hps: HPState, w, m, v, mu, n, u, t: int):
-    """The new states; a single run raises on divergence, a stack leaves it to ``state_faults``."""
-    if w.ndim == 1:
-        faults = state_faults(w[None], mu[None])
-        if faults:
-            raise TrainingDiverged(t, faults[0])
+    m, v, dw = moments(params.m, params.v, _clipped(g, config.grad_clip), lr, params.step + 1, config)
+    n, u, dmu = moments(hps.n, hps.v, _clipped(h, config.grad_clip), lr, hps.step + 1, config)
+    w = params.w - dw - lr * config.weight_decay * params.w
+    mu = hps.mu.mu - dmu
+    if config.hp_decay > 0.0:  # off for fixed weights, which then skip the regularizer entirely
+        mu = mu - lr * config.hp_decay * regularizer_gradient(hps.mu)
     return (
         ParamState(w=w, m=m, v=v, step=params.step + 1),
         HPState(mu=_trusted(HPExponents, mu=mu), n=n, v=u, step=hps.step + 1),
     )
 
 
-def _decoupled_decay(hps: HPState, lr: float, config: OptimizerConfig):
-    """``lr * rho * dR(mu)``, or 0 when the regularizer is off (fixed weights)."""
-    if config.hp_decay == 0.0:
-        return 0.0
-    return lr * config.hp_decay * regularizer_gradient(hps.mu)
-
-
-def sgdw_step(
-    params: ParamState,
-    hps: HPState,
-    g,
-    h,
-    t: int,
-    config: OptimizerConfig,
-) -> tuple[ParamState, HPState]:
+def sgdw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig) -> tuple[ParamState, HPState]:
     """One joint SGDW-with-momentum update.
 
     With eta the schedule multiplier and a the effective learning rate:
@@ -235,56 +201,17 @@ def sgdw_step(
     where dR is the unit-strength regularizer gradient at the previous
     exponents and rho = ``hp_decay``. States may carry a leading run
     axis, ``(R, P)`` and ``(R, K+1)``; every run then takes the same step.
-    A single run raises :class:`TrainingDiverged` when its new state is
-    unusable; a stack returns it and the caller drops the runs that
-    :func:`state_faults` names.
+    The new state is returned unchecked: the training loop decides which
+    runs diverged.
     """
-    g, h = _validated(params, hps, g, h, t)
-    lr = schedule_multiplier(t, config) * config.effective_alpha
-    g = _clipped(g, config.grad_clip)
-    h = _clipped(h, config.grad_clip)
-
-    m_new = config.beta1 * params.m + lr * g
-    w_new = params.w - m_new - lr * config.weight_decay * params.w
-
-    n_new = config.beta1 * hps.n + lr * h
-    mu_new = hps.mu.mu - n_new - _decoupled_decay(hps, lr, config)
-
-    return _stepped(params, hps, w_new, m_new, params.v, mu_new, n_new, hps.v, t)
+    return _joint_step(params, hps, g, h, t, config, _momentum)
 
 
-def adamw_step(
-    params: ParamState,
-    hps: HPState,
-    g,
-    h,
-    t: int,
-    config: OptimizerConfig,
-) -> tuple[ParamState, HPState]:
+def adamw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig) -> tuple[ParamState, HPState]:
     """One joint AdamW update with bias correction on both moment pairs.
 
     Weight decay on ``w`` and the exponent regularizer on ``mu`` both
     enter decoupled from the adaptive part, each scaled by eta * alpha.
-    Stacked states and divergence are handled as in :func:`sgdw_step`.
+    Stacked states are handled as in :func:`sgdw_step`.
     """
-    g, h = _validated(params, hps, g, h, t)
-    lr = schedule_multiplier(t, config) * config.effective_alpha
-    b1, b2, eps = config.beta1, config.beta2, config.adam_eps
-    g = _clipped(g, config.grad_clip)
-    h = _clipped(h, config.grad_clip)
-
-    ps = params.step + 1
-    m_new = b1 * params.m + (1.0 - b1) * g
-    v_new = b2 * params.v + (1.0 - b2) * g * g
-    m_hat = m_new / (1.0 - b1 ** ps)
-    v_hat = v_new / (1.0 - b2 ** ps)
-    w_new = params.w - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * config.weight_decay * params.w
-
-    hs = hps.step + 1
-    n_new = b1 * hps.n + (1.0 - b1) * h
-    u_new = b2 * hps.v + (1.0 - b2) * h * h
-    n_hat = n_new / (1.0 - b1 ** hs)
-    u_hat = u_new / (1.0 - b2 ** hs)
-    mu_new = hps.mu.mu - lr * n_hat / (np.sqrt(u_hat) + eps) - _decoupled_decay(hps, lr, config)
-
-    return _stepped(params, hps, w_new, m_new, v_new, mu_new, n_new, u_new, t)
+    return _joint_step(params, hps, g, h, t, config, _adam)

@@ -101,7 +101,7 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         payload = json.loads(err.strip().splitlines()[-1])
-        assert payload["error"] == "config"
+        assert payload["error"] == "io"
 
     def test_bad_override_exits_3(self, config_path, capsys):
         code = main(["train", "--config", str(config_path), "--override", "bogus=1"])
@@ -175,6 +175,13 @@ class TestSeedStudyCommand:
         assert len(summary["final_mu"]) == 2
         capsys.readouterr()
 
+    def test_one_seed_exits_3_and_writes_nothing(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["seed-study", "--config", str(config_path), "--out", str(out), "--override", "seeds=0"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not out.exists()
 
     def test_diverged_exits_4_with_partial_outputs(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -199,12 +206,15 @@ class TestInitSweepCommand:
         assert [e["epsilon"] for e in summary["entries"]] == [0.05, 0.5]
         capsys.readouterr()
 
-    def test_requires_sweep_list(self, config_path, capsys):
+    def test_requires_sweep_list(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
         code = main([
-            "init-sweep", "--config", str(config_path), "--override", "epsilon_sweep=0.1",
+            "init-sweep", "--config", str(config_path), "--out", str(out), "--override", "epsilon_sweep=0.1",
         ])
         assert code == EXIT_CONFIG
-        capsys.readouterr()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not out.exists()
 
 
 class TestExportCommand:

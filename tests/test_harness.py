@@ -10,6 +10,7 @@ import pytest
 
 from lossmix.config import ConfigError, ExperimentConfig
 from lossmix.harness import (
+    _faults,
     export_results,
     import_results,
     normalize_weights,
@@ -234,6 +235,39 @@ class TestStackedEngine:
         assert grid.best_index is None and grid.best_point is None
 
 
+LOSS, STATE, RANGE = "non-finite loss", "non-finite state after update", "exponent left the representable range"
+
+
+def fault_case(*rows):
+    """``(lvals, w, mu)`` stacks with one row per ``(loss, w, mu)`` entry; a row is fine by default."""
+    lvals, w, mu = np.ones((len(rows), 3)), np.zeros((len(rows), 4)), np.zeros((len(rows), 3))
+    for r, (loss, w_bad, mu_bad) in enumerate(rows):
+        lvals[r, 1], w[r, 2], mu[r, 1] = loss, w_bad, mu_bad
+    return lvals, w, mu
+
+
+class TestFaults:
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([(1.0, 0.0, -2.0), (0.5, 1.0, 700.0)], None),
+            ([(np.nan, 0.0, 0.0)], [LOSS]),
+            ([(np.inf, np.inf, np.nan)], [LOSS]),
+            ([(np.inf, 0.0, 701.0)], [LOSS]),
+            ([(1.0, np.inf, 0.0)], [STATE]),
+            ([(1.0, 0.0, np.nan)], [STATE]),
+            ([(1.0, np.nan, 701.0)], [STATE]),
+            ([(1.0, 0.0, -700.5)], [RANGE]),
+            (
+                [(1.0, 0.0, 0.0), (1.0, 0.0, 750.0), (np.nan, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, -np.inf, 0.0)],
+                [None, RANGE, LOSS, None, STATE],
+            ),
+        ],
+    )
+    def test_reason_per_row(self, rows, expected):
+        assert _faults(*fault_case(*rows)) == expected
+
+
 class TestSeedStudy:
     def test_duplicated_seed_has_zero_spread(self):
         report = run_seed_study(small_config(), seeds=(4, 4))
@@ -248,7 +282,7 @@ class TestSeedStudy:
         np.testing.assert_array_equal(report.step_spread_max, np.zeros(3))
 
     def test_requires_two_seeds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_seed_study(small_config(), seeds=(0,))
 
     def test_range_includes_initialization(self):
@@ -273,7 +307,7 @@ class TestInitSweep:
         assert report.clusters == [[0, 1, 2]]
 
     def test_requires_two_epsilons(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_init_sweep(small_config(), epsilons=(0.1,))
 
 

@@ -10,7 +10,6 @@ from lossmix.optim import (
     HPState,
     OptimizerConfig,
     ParamState,
-    TrainingDiverged,
     adamw_step,
     init_hp_state,
     init_param_state,
@@ -153,12 +152,6 @@ class TestSgdwStep:
         params, hps = fresh_states([0.0])
         clipped, _ = sgdw_step(params, hps, [10.0], [0.0, 0.0], 1, cfg(beta1=0.0, grad_clip=1.0))
         assert clipped.w[0] == pytest.approx(-0.1, abs=1e-15)
-
-    def test_non_finite_gradient_diverges_with_step(self):
-        params, hps = fresh_states([1.0])
-        with pytest.raises(TrainingDiverged) as err:
-            sgdw_step(params, hps, [np.nan], [0.0, 0.0], 7, cfg())
-        assert err.value.step == 7
 
     def test_nonzero_basic_gradient_rejected(self):
         params, hps = fresh_states([1.0])

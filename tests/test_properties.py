@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from lossmix.gradcheck import central_fd
 from lossmix.losses import HPExponents, LossVector, _trusted, hp_gradient_empirical, regularizer_value, softmax_weights
+from lossmix.optim import HPState, OptimizerConfig, adamw_step, init_param_state, sgdw_step
 
 SMALL = settings(max_examples=40, deadline=None)
 N_TERMS = st.integers(2, 5)
@@ -61,3 +62,31 @@ def test_regularizer_value_is_linear_in_rho(mu, rho_a, rho_b):
     total = regularizer_value(mu, rho_a + rho_b)
     parts = regularizer_value(mu, rho_a) + regularizer_value(mu, rho_b)
     assert math.isclose(total, parts, rel_tol=1e-12, abs_tol=(rho_a + rho_b) * scale)
+
+
+STEPS = 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([sgdw_step, adamw_step]),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, 1.0]),
+    st.data(),
+)
+def test_basic_exponent_never_moves(step_fn, runs, n_aux, hp_decay, grad_clip, data):
+    finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+    aux = data.draw(arrays(np.float64, (runs, n_aux), elements=finite))
+    g = data.draw(arrays(np.float64, (STEPS, runs, 2), elements=finite))
+    h = data.draw(arrays(np.float64, (STEPS, runs, n_aux + 1), elements=finite))
+    h[..., 0] = 0.0
+    config = OptimizerConfig(alpha=0.1, hp_decay=hp_decay, grad_clip=grad_clip, total_steps=STEPS)
+    mu = np.concatenate([np.zeros((runs, 1)), aux], axis=1)
+    params = init_param_state(np.ones((runs, 2)))
+    hps = HPState(mu=HPExponents(mu), n=np.zeros_like(mu), v=np.zeros_like(mu))
+    for t in range(1, STEPS + 1):
+        params, hps = step_fn(params, hps, g[t - 1], h[t - 1], t, config)
+        for basic in (hps.mu.mu[:, 0], hps.n[:, 0], hps.v[:, 0]):
+            assert np.all(basic == 0.0)
