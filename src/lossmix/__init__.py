@@ -40,8 +40,6 @@ from .models import (
     Dataset,
     ToyModelSpec,
     build_model,
-    eval_losses,
-    eval_param_gradient,
     make_synthetic_dataset,
 )
 from .optim import (

@@ -9,6 +9,7 @@ JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -19,6 +20,7 @@ from .config import ConfigError, load_config
 from .gradcheck import check_hp_gradients, check_model_gradients, check_reg_gradients
 from .harness import (
     TrainingDiverged,
+    _jsonable,
     export_results,
     grid_summary,
     import_results,
@@ -147,7 +149,7 @@ def cmd_gradcheck(args) -> int:
         ),
     ]
     payload = {"reports": [r.to_dict() for r in reports], "all_passed": all(r.passed for r in reports)}
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(_jsonable(payload), indent=2)
     print(text)
     if args.json:
         Path(args.json).write_text(text + "\n")
@@ -157,8 +159,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.override)
     seed = args.seed if args.seed is not None else config.seeds[0]
-    out = _out_dir(args, config)
     result = run_training(config, seed)
+    out = _out_dir(args, config)
     summary = _write_run(result, out / f"train_seed{seed}")
     print(json.dumps(summary, indent=2))
     _raise_if_diverged([result])
@@ -167,17 +169,15 @@ def cmd_train(args) -> int:
 
 def cmd_grid(args) -> int:
     config = load_config(args.config, args.override)
-    out = _out_dir(args, config)
     result = run_grid_search(config)
+    out = _out_dir(args, config)
     summary = grid_summary(result)
     for i, point in enumerate(result.points):
         for run in point.runs:
             _write_run(run, out / f"grid_p{i:02d}_seed{run.seed}")
     _write_json(out / "grid_summary.json", summary)
     with (out / "grid_table.csv").open("w", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         n_terms = result.points[0].lam.size
         writer.writerow(
             ["point_index"]

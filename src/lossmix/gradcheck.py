@@ -10,14 +10,13 @@ spuriously dominate while genuinely wrong entries still register.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .losses import HPExponents, LossVector, LossWeights, composite_loss, hp_gradient_empirical
+from .losses import HPExponents, LossVector, composite_loss, hp_gradient_empirical
 from .losses import regularizer_gradient, regularizer_value, softmax_weights
-from .models import eval_losses, eval_param_gradient, make_synthetic_dataset, take
+from .models import make_synthetic_dataset, take
 
 __all__ = [
     "GradCheckReport",
@@ -45,9 +44,6 @@ class GradCheckReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def central_fd(fn, x, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function of a vector.
@@ -71,19 +67,27 @@ def central_fd(fn, x, h: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def _aggregate(name, n_trials, tol, trials) -> GradCheckReport:
-    """Fold (analytic, numeric) gradient pairs into a report."""
+def _aggregate(name, tol, trials) -> GradCheckReport:
+    """Fold (analytic, numeric) gradient pairs into a report.
+
+    A non-finite entry on either side is an infinite error at its index,
+    so the report fails.
+    """
+    n_trials = 0
     max_rel = 0.0
     max_abs = 0.0
     worst = -1
     for analytic, numeric in trials:
+        n_trials += 1
         diff = np.abs(analytic - numeric)
+        diff[~np.isfinite(diff)] = np.inf
+        err = float(diff.max())
         denom = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), ERROR_FLOOR)
-        rel = float(diff.max()) / denom
+        rel = err / denom if err < np.inf else np.inf
         if rel > max_rel:
             max_rel = rel
             worst = int(np.argmax(diff))
-        max_abs = max(max_abs, float(diff.max()))
+        max_abs = max(max_abs, err)
     return GradCheckReport(
         name=name,
         n_trials=n_trials,
@@ -95,6 +99,24 @@ def _aggregate(name, n_trials, tol, trials) -> GradCheckReport:
     )
 
 
+def _exponent_trials(analytic, value, n_trials, k_range, h, seed, draw=lambda rng, k: ()):
+    """Pairs of ``analytic(mu, *extra)`` and central differences of ``value(mu, *extra)``.
+
+    Each trial draws K from ``k_range``, then K auxiliary exponents
+    N(0, 2^2) to exercise the max-subtraction paths, then ``extra =
+    draw(rng, K)``. Differences are taken over the free (auxiliary)
+    coordinates only, since the basic exponent is frozen.
+    """
+    rng = np.random.default_rng(seed)
+    k_range = tuple(k_range)
+    for _ in range(n_trials):
+        k = int(rng.choice(k_range))
+        aux = rng.normal(0.0, 2.0, size=k)
+        extra = draw(rng, k)
+        numeric = central_fd(lambda free: value(HPExponents.from_auxiliary(free), *extra), aux, h)
+        yield analytic(HPExponents.from_auxiliary(aux), *extra)[1:], numeric
+
+
 def check_hp_gradients(
     n_trials: int = 100,
     k_range=(1, 2, 3, 4, 5),
@@ -104,27 +126,15 @@ def check_hp_gradients(
 ) -> GradCheckReport:
     """Exponent gradient of the weighted loss vs central differences.
 
-    Exponents are drawn N(0, 2^2) to exercise the max-subtraction paths;
-    losses are |N(0,1)| + 0.1. Differences are taken over the free
-    (auxiliary) coordinates only, since the basic exponent is frozen.
+    Losses are drawn |N(0,1)| + 0.1 per trial.
     """
-    rng = np.random.default_rng(seed)
-    k_range = tuple(k_range)
-
-    def trials():
-        for _ in range(n_trials):
-            k = int(rng.choice(k_range))
-            aux = rng.normal(0.0, 2.0, size=k)
-            losses = LossVector(np.abs(rng.normal(size=k + 1)) + 0.1)
-            analytic = hp_gradient_empirical(HPExponents.from_auxiliary(aux), losses)[1:]
-
-            def weighted(free, losses=losses):
-                mu = HPExponents.from_auxiliary(free)
-                return composite_loss(softmax_weights(mu), losses)
-
-            yield analytic, central_fd(weighted, aux, h)
-
-    return _aggregate("hp_gradient_empirical", n_trials, tol, trials())
+    trials = _exponent_trials(
+        hp_gradient_empirical,
+        lambda mu, losses: composite_loss(softmax_weights(mu), losses),
+        n_trials, k_range, h, seed,
+        draw=lambda rng, k: (LossVector(np.abs(rng.normal(size=k + 1)) + 0.1),),
+    )
+    return _aggregate("hp_gradient_empirical", tol, trials)
 
 
 def check_reg_gradients(
@@ -135,21 +145,10 @@ def check_reg_gradients(
     seed: int = 0,
 ) -> GradCheckReport:
     """Regularizer gradient vs central differences of its unit-strength value."""
-    rng = np.random.default_rng(seed)
-    k_range = tuple(k_range)
-
-    def trials():
-        for _ in range(n_trials):
-            k = int(rng.choice(k_range))
-            aux = rng.normal(0.0, 2.0, size=k)
-            analytic = regularizer_gradient(HPExponents.from_auxiliary(aux))[1:]
-
-            def value(free):
-                return regularizer_value(HPExponents.from_auxiliary(free), 1.0)
-
-            yield analytic, central_fd(value, aux, h)
-
-    return _aggregate("regularizer_gradient", n_trials, tol, trials())
+    trials = _exponent_trials(
+        regularizer_gradient, lambda mu: regularizer_value(mu, 1.0), n_trials, k_range, h, seed
+    )
+    return _aggregate("regularizer_gradient", tol, trials)
 
 
 def check_model_gradients(
@@ -175,13 +174,8 @@ def check_model_gradients(
             lam = rng.dirichlet(np.ones(n_terms))
             lam = np.maximum(lam, 1e-9)
             lam = lam / lam.sum()
-            weights = LossWeights(lam)
             batch = take(pool, rng.choice(len(pool), size=batch_size, replace=False))
-            analytic = eval_param_gradient(model, w, batch, weights)
+            numeric = central_fd(lambda wv: lam @ model.losses(wv, batch), w, h)
+            yield model.param_gradient(w, batch, lam), numeric
 
-            def weighted(wv, weights=weights, batch=batch):
-                return composite_loss(weights, eval_losses(model, wv, batch))
-
-            yield analytic, central_fd(weighted, w, h)
-
-    return _aggregate(f"param_gradient[{model.spec.kind}]", n_trials, tol, trials())
+    return _aggregate(f"param_gradient[{model.spec.kind}]", tol, trials())

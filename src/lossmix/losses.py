@@ -128,9 +128,6 @@ class LossWeights:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {sums!r}")
         object.__setattr__(self, "lam", _frozen_copy(lam))
 
-    def __len__(self) -> int:
-        return self.lam.shape[-1]
-
 
 @dataclass(frozen=True)
 class LossVector:

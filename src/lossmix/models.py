@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossVector, LossWeights
-
 __all__ = [
     "LINEAR_KIND",
     "MLP_KIND",
@@ -42,8 +40,6 @@ __all__ = [
     "DuplicatedTermModel",
     "BatchSampler",
     "take",
-    "eval_losses",
-    "eval_param_gradient",
 ]
 
 LINEAR_KIND = "multiloss_linear_regression"
@@ -334,38 +330,6 @@ def build_model(spec: ToyModelSpec):
     if spec.duplicate_term:
         model = DuplicatedTermModel(model, spec.duplicate_term)
     return model
-
-
-def eval_losses(model, w, batch: Dataset) -> LossVector:
-    """Batch-mean loss terms as a typed vector; rejects non-finite results."""
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("parameters must be finite")
-    if len(batch) < 1:
-        raise ValueError("batch must be non-empty")
-    values = model.losses(w, batch)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(
-            f"non-finite loss values {values!r} (model={model.spec.kind}, split={batch.split})"
-        )
-    return LossVector(values, tuple(model.loss_names))
-
-
-def eval_param_gradient(model, w, batch: Dataset, weights: LossWeights) -> np.ndarray:
-    """Analytic gradient of the weighted loss w.r.t. the parameters.
-
-    Linear in the weights by construction, so gradients for mixed
-    weight vectors superpose exactly.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("parameters must be finite")
-    if len(weights) != len(model.loss_names):
-        raise ValueError(f"{len(weights)} weights for {len(model.loss_names)} loss terms")
-    g = model.param_gradient(w, batch, weights.lam)
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"non-finite parameter gradient (model={model.spec.kind})")
-    return g
 
 
 class BatchSampler:

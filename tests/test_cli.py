@@ -6,8 +6,10 @@ compared against direct library calls with the same configuration.
 
 import json
 
+import numpy as np
 import pytest
 
+from lossmix import gradcheck
 from lossmix.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from lossmix.config import load_config
 from lossmix.harness import import_results, run_training
@@ -68,6 +70,24 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--trials", "5", "--model-trials", "2", "--tol", "1e-18", "--model-tol", "1e-18"])
         assert code == 1
         capsys.readouterr()
+
+    def test_nan_gradient_fails_with_valid_json(self, capsys, tmp_path, monkeypatch):
+        def nan_gradient(mu, losses):
+            return np.full(mu.mu.shape, np.nan)
+
+        def reject(constant):
+            raise ValueError(f"invalid JSON constant {constant}")
+
+        monkeypatch.setattr(gradcheck, "hp_gradient_empirical", nan_gradient)
+        report_path = tmp_path / "report.json"
+        code = main(["gradcheck", "--trials", "5", "--model-trials", "2", "--json", str(report_path)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert json.loads(report_path.read_text(), parse_constant=reject) == payload
+        assert payload["all_passed"] is False
+        hp = payload["reports"][0]
+        assert hp["passed"] is False
+        assert hp["max_relative_error"] is None and hp["max_absolute_error"] is None
 
 
 class TestTrainCommand:
@@ -130,6 +150,17 @@ class TestTrainCommand:
         summary = json.loads((out / "train_seed0" / "summary.json").read_text())
         assert summary["diverged_reason"] == "exponent left the representable range"
 
+    def test_config_error_exits_3_and_writes_nothing(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "train", "--config", str(config_path), "--out", str(out),
+            "--override", "mode=fixed", "--override", "fixed_weights=1,1",
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not out.exists()
+
     def test_env_var_out_dir(self, config_path, tmp_path, capsys, monkeypatch):
         env_out = tmp_path / "env_out"
         monkeypatch.setenv("LOSSMIX_OUT_DIR", str(env_out))
@@ -150,6 +181,16 @@ class TestGridCommand:
         assert (out / "grid_p01_seed1" / "summary.json").exists()
         capsys.readouterr()
 
+
+    def test_no_grid_axes_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "no_grid.cfg"
+        path.write_text("\n".join(line for line in CONFIG.splitlines() if not line.startswith("grid_axes")))
+        out = tmp_path / "out"
+        code = main(["grid", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not out.exists()
 
     def test_all_diverged_exits_4_with_null_best(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from lossmix.gradcheck import central_fd, check_hp_gradients, check_model_gradients, check_reg_gradients
-from lossmix.models import LINEAR_KIND, MLP_KIND, ToyModelSpec, build_model
+from lossmix import gradcheck
+from lossmix.gradcheck import _aggregate, central_fd, check_hp_gradients, check_model_gradients
+from lossmix.gradcheck import check_reg_gradients
+from lossmix.models import LINEAR_KIND, MLP_KIND, LinearMultiLossModel, ToyModelSpec, build_model
 
 
 class TestCentralFd:
@@ -45,7 +47,7 @@ class TestHpGradientCheck:
 
     def test_json_round_trip(self):
         report = check_hp_gradients(n_trials=5)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["passed"] is True
         assert payload["name"] == "hp_gradient_empirical"
 
@@ -79,3 +81,69 @@ class TestModelGradientCheck:
         a = check_model_gradients(model, n_trials=5, seed=9)
         b = check_model_gradients(model, n_trials=5, seed=9)
         assert a == b
+
+
+def patched(fn, bad=None):
+    """``fn`` counting its calls; given ``bad``, entry 1 of its result is replaced by it."""
+
+    def wrapper(*args):
+        wrapper.calls += 1
+        g = np.array(fn(*args))
+        if bad is not None:
+            g[..., 1] = bad
+        return g
+
+    wrapper.calls = 0
+    return wrapper
+
+
+class PatchedLinearModel(LinearMultiLossModel):
+    """A linear model whose parameter gradient is ``patched``."""
+
+    def __init__(self, spec, bad=None):
+        super().__init__(spec)
+        self.param_gradient = patched(super().param_gradient, bad)
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+
+
+class TestNonFiniteGradients:
+    @NON_FINITE
+    def test_aggregate_counts_either_side_as_infinite_error(self, bad):
+        for analytic, numeric in [([bad, 1.0], [0.5, 1.0]), ([0.5, 1.0], [bad, 1.0])]:
+            report = _aggregate("g", 1e-6, [(np.array(analytic), np.array(numeric))])
+            assert not report.passed
+            assert report.n_trials == 1
+            assert report.max_relative_error == report.max_absolute_error == np.inf
+            assert report.worst_index == 0
+
+    @NON_FINITE
+    def test_hp_check_fails(self, bad, monkeypatch):
+        monkeypatch.setattr(gradcheck, "hp_gradient_empirical", patched(gradcheck.hp_gradient_empirical, bad))
+        report = check_hp_gradients(n_trials=5)
+        assert not report.passed and report.max_relative_error == np.inf
+
+    @NON_FINITE
+    def test_reg_check_fails(self, bad, monkeypatch):
+        monkeypatch.setattr(gradcheck, "regularizer_gradient", patched(gradcheck.regularizer_gradient, bad))
+        report = check_reg_gradients(n_trials=5)
+        assert not report.passed and report.max_relative_error == np.inf
+
+    @NON_FINITE
+    def test_model_check_fails(self, bad):
+        report = check_model_gradients(PatchedLinearModel(ToyModelSpec(n_features=4), bad), n_trials=3)
+        assert not report.passed and report.max_relative_error == np.inf
+
+
+class TestTrialCount:
+    def test_exponent_checks_count_their_trials(self, monkeypatch):
+        checks = {"hp_gradient_empirical": check_hp_gradients, "regularizer_gradient": check_reg_gradients}
+        for name, check in checks.items():
+            counted = patched(getattr(gradcheck, name))
+            monkeypatch.setattr(gradcheck, name, counted)
+            assert check(n_trials=7).n_trials == counted.calls == 7
+
+    def test_model_check_counts_its_trials(self):
+        model = PatchedLinearModel(ToyModelSpec(n_features=4))
+        assert check_model_gradients(model, n_trials=4).n_trials == model.param_gradient.calls == 4

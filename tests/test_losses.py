@@ -55,7 +55,7 @@ class TestLossWeights:
 
     def test_accepts_simplex(self):
         w = LossWeights([0.25, 0.75])
-        assert len(w) == 2
+        np.testing.assert_array_equal(w.lam, [0.25, 0.75])
 
 
 class TestLossVector:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lossmix.gradcheck import central_fd
-from lossmix.losses import LossWeights
 from lossmix.models import (
     LINEAR_KIND,
     MLP_KIND,
@@ -15,8 +14,6 @@ from lossmix.models import (
     LinearMultiLossModel,
     ToyModelSpec,
     build_model,
-    eval_losses,
-    eval_param_gradient,
     make_synthetic_dataset,
     take,
 )
@@ -103,15 +100,15 @@ class TestEvalLosses:
         # recover the exact generating weights from the noise-free system
         w_true, *_ = np.linalg.lstsq(train.inputs, train.targets, rcond=None)
         model = build_model(spec)
-        losses = eval_losses(model, w_true, train)
-        assert losses.values[0] < 1e-20
+        losses = model.losses(w_true, train)
+        assert losses[0] < 1e-20
 
     def test_zero_jitter_kills_consistency(self):
         spec = ToyModelSpec(kind=LINEAR_KIND, n_features=4, jitter_std=0.0)
         train, _ = make_synthetic_dataset(spec, 0, 10, 5)
         model = build_model(spec)
-        losses = eval_losses(model, np.ones(4), train)
-        assert losses.values[1] == 0.0
+        losses = model.losses(np.ones(4), train)
+        assert losses[1] == 0.0
 
     def test_linear_matches_naive_oracle(self):
         rng = np.random.default_rng(11)
@@ -120,7 +117,7 @@ class TestEvalLosses:
         for _ in range(5):
             w = rng.normal(size=model.n_params)
             np.testing.assert_allclose(
-                eval_losses(model, w, train).values, naive_linear_losses(w, train), rtol=0, atol=1e-12
+                model.losses(w, train), naive_linear_losses(w, train), rtol=0, atol=1e-12
             )
 
     def test_mlp_matches_naive_oracle(self):
@@ -130,20 +127,14 @@ class TestEvalLosses:
         for _ in range(5):
             w = model.init_params(rng)
             np.testing.assert_allclose(
-                eval_losses(model, w, train).values, naive_mlp_losses(model, w, train), rtol=0, atol=1e-12
+                model.losses(w, train), naive_mlp_losses(model, w, train), rtol=0, atol=1e-12
             )
 
     def test_loss_names(self):
         model = build_model(LIN)
         train, _ = make_synthetic_dataset(LIN, 0, 8, 4)
-        losses = eval_losses(model, np.zeros(model.n_params), train)
-        assert losses.names == ("mse", "consistency", "noise_fit")
-
-    def test_rejects_non_finite_parameters(self):
-        model = build_model(LIN)
-        train, _ = make_synthetic_dataset(LIN, 0, 8, 4)
-        with pytest.raises(ValueError):
-            eval_losses(model, np.full(model.n_params, np.inf), train)
+        assert model.losses(np.zeros(model.n_params), train).shape == (3,)
+        assert model.loss_names == ("mse", "consistency", "noise_fit")
 
 
 class TestParamGradient:
@@ -156,11 +147,11 @@ class TestParamGradient:
             w = model.init_params(rng) + 0.2 * rng.normal(size=model.n_params)
             lam = rng.dirichlet(np.ones(3))
             lam = np.maximum(lam, 1e-9)
-            weights = LossWeights(lam / lam.sum())
-            analytic = eval_param_gradient(model, w, train, weights)
+            lam = lam / lam.sum()
+            analytic = model.param_gradient(w, train, lam)
 
             def weighted(wv):
-                return float(weights.lam @ model.losses(wv, train))
+                return float(lam @ model.losses(wv, train))
 
             fd = central_fd(weighted, w, 1e-6)
             scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-8)
@@ -171,28 +162,19 @@ class TestParamGradient:
         train, _ = make_synthetic_dataset(LIN, 14, 12, 4)
         model = build_model(LIN)
         w = rng.normal(size=model.n_params)
-        wa = LossWeights([0.6, 0.3, 0.1])
-        wb = LossWeights([0.2, 0.3, 0.5])
-        mix = LossWeights(0.25 * wa.lam + 0.75 * wb.lam)
-        g_mix = eval_param_gradient(model, w, train, mix)
-        g_sup = 0.25 * eval_param_gradient(model, w, train, wa) + 0.75 * eval_param_gradient(
-            model, w, train, wb
-        )
+        wa = np.array([0.6, 0.3, 0.1])
+        wb = np.array([0.2, 0.3, 0.5])
+        g_mix = model.param_gradient(w, train, 0.25 * wa + 0.75 * wb)
+        g_sup = 0.25 * model.param_gradient(w, train, wa) + 0.75 * model.param_gradient(w, train, wb)
         np.testing.assert_allclose(g_mix, g_sup, atol=1e-10)
 
     def test_stationary_at_least_squares_solution(self):
         train, _ = make_synthetic_dataset(LIN, 15, 30, 5)
         model = build_model(LIN)
         w_ols, *_ = np.linalg.lstsq(train.inputs, train.targets, rcond=None)
-        nearly_basic = LossWeights([1.0 - 2e-9, 1e-9, 1e-9])
-        g = eval_param_gradient(model, w_ols, train, nearly_basic)
+        nearly_basic = np.array([1.0 - 2e-9, 1e-9, 1e-9])
+        g = model.param_gradient(w_ols, train, nearly_basic)
         assert np.linalg.norm(g) < 1e-6
-
-    def test_weight_arity_checked(self):
-        model = build_model(LIN)
-        train, _ = make_synthetic_dataset(LIN, 0, 8, 4)
-        with pytest.raises(ValueError):
-            eval_param_gradient(model, np.zeros(model.n_params), train, LossWeights([0.5, 0.5]))
 
 
 class TestDuplicatedTerm:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lossmix.gradcheck import central_fd
-from lossmix.losses import HPExponents, LossVector, _trusted, hp_gradient_empirical, regularizer_value, softmax_weights
+from lossmix.losses import HPExponents, LossVector, _trusted, hp_gradient_empirical, regularizer_gradient
+from lossmix.losses import regularizer_value, softmax_weights
+from lossmix.models import LINEAR_KIND, MLP_KIND, ToyModelSpec, build_model, make_synthetic_dataset, take
 from lossmix.optim import HPState, OptimizerConfig, adamw_step, init_param_state, sgdw_step
 
 SMALL = settings(max_examples=40, deadline=None)
@@ -90,3 +92,42 @@ def test_basic_exponent_never_moves(step_fn, runs, n_aux, hp_decay, grad_clip, d
         params, hps = step_fn(params, hps, g[t - 1], h[t - 1], t, config)
         for basic in (hps.mu.mu[:, 0], hps.n[:, 0], hps.v[:, 0]):
             assert np.all(basic == 0.0)
+
+
+def assert_rows_match(stacked, serial):
+    """Row r of a stacked result equals the 1-D result on row r."""
+    assert np.shape(stacked)[0] == len(serial)
+    for row, one in zip(stacked, serial):
+        np.testing.assert_allclose(row, one, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), N_TERMS, st.data())
+def test_stacked_loss_layer_matches_serial(runs, n_terms, data):
+    aux = data.draw(arrays(np.float64, (runs, n_terms - 1), elements=st.floats(-50.0, 50.0)))
+    values = data.draw(arrays(np.float64, (runs, n_terms), elements=st.floats(0.0, 10.0)))
+    mu = np.concatenate([np.zeros((runs, 1)), aux], axis=1)
+    stack, rows = HPExponents(mu), [HPExponents(m) for m in mu]
+    assert_rows_match(softmax_weights(stack).lam, [softmax_weights(m).lam for m in rows])
+    assert_rows_match(
+        hp_gradient_empirical(stack, LossVector(values)),
+        [hp_gradient_empirical(m, LossVector(l)) for m, l in zip(rows, values)],
+    )
+    assert_rows_match(regularizer_value(stack, 0.5), [regularizer_value(m, 0.5) for m in rows])
+    assert_rows_match(regularizer_gradient(stack), [regularizer_gradient(m) for m in rows])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([LINEAR_KIND, MLP_KIND]), st.integers(1, 3), st.integers(0, 2**16))
+def test_stacked_models_match_serial(kind, runs, seed):
+    spec = ToyModelSpec(kind=kind, n_features=4, hidden_units=5)
+    model = build_model(spec)
+    pool, _ = make_synthetic_dataset(spec, seed, 12, 1)
+    rng = np.random.default_rng(seed)
+    w = np.stack([model.init_params(rng) + 0.2 * rng.normal(size=model.n_params) for _ in range(runs)])
+    lam = rng.dirichlet(np.ones(len(model.loss_names)), size=runs)
+    idx = np.stack([rng.permutation(len(pool))[:5] for _ in range(runs)])
+    batch, batches = take(pool, idx), [take(pool, i) for i in idx]
+    assert_rows_match(model.losses(w, batch), [model.losses(*a) for a in zip(w, batches)])
+    serial = [model.param_gradient(*a) for a in zip(w, batches, lam)]
+    assert_rows_match(model.param_gradient(w, batch, lam), serial)
