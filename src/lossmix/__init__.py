@@ -20,6 +20,7 @@ from .harness import (
     export_results,
     import_results,
     normalize_weights,
+    read_rows,
     run_grid_search,
     run_init_sweep,
     run_seed_study,

@@ -23,15 +23,14 @@ from .harness import (
     _jsonable,
     export_results,
     grid_summary,
-    import_results,
     init_sweep_summary,
+    read_rows,
     run_grid_search,
     run_init_sweep,
     run_seed_study,
     run_summary,
     run_training,
     seed_study_summary,
-    trajectory_arity,
 )
 from .models import LINEAR_KIND, MLP_KIND, ToyModelSpec, build_model
 
@@ -109,14 +108,12 @@ def _write_json(path: Path, payload) -> None:
 
 def _write_run(result, run_dir: Path) -> dict:
     run_dir.mkdir(parents=True, exist_ok=True)
-    n_terms = result.initial_mu.size
-    export_results(result.trajectory, "csv", run_dir / "trajectory.csv", n_terms=n_terms)
-    export_results(result.trajectory, "json", run_dir / "trajectory.json", n_terms=n_terms)
     summary = run_summary(result)
-    summary["trajectory_csv"] = str(Path(run_dir.name) / "trajectory.csv")
-    summary["trajectory_json"] = str(Path(run_dir.name) / "trajectory.json")
+    for fmt in ("csv", "json"):
+        export_results(result.rows, fmt, run_dir / f"trajectory.{fmt}")
+        summary[f"trajectory_{fmt}"] = str(Path(run_dir.name) / f"trajectory.{fmt}")
     _write_json(run_dir / "summary.json", summary)
-    log.info("seed %d: %d records, %.2fs -> %s", result.seed, len(result.trajectory), result.wall_time, run_dir)
+    log.info("seed %d: %d records, %.2fs -> %s", result.seed, len(result.rows), result.wall_time, run_dir)
     return summary
 
 
@@ -135,18 +132,12 @@ def cmd_gradcheck(args) -> int:
     reports = [
         check_hp_gradients(n_trials=args.trials, tol=args.tol, seed=args.seed),
         check_reg_gradients(n_trials=args.trials, tol=args.tol, seed=args.seed),
-        check_model_gradients(
-            build_model(ToyModelSpec(kind=LINEAR_KIND, n_features=8)),
-            n_trials=args.model_trials,
-            tol=args.model_tol,
-            seed=args.seed,
-        ),
-        check_model_gradients(
-            build_model(ToyModelSpec(kind=MLP_KIND, n_features=6, hidden_units=12)),
-            n_trials=args.model_trials,
-            tol=args.model_tol,
-            seed=args.seed,
-        ),
+    ] + [
+        check_model_gradients(build_model(spec), n_trials=args.model_trials, tol=args.model_tol, seed=args.seed)
+        for spec in (
+            ToyModelSpec(kind=LINEAR_KIND, n_features=8),
+            ToyModelSpec(kind=MLP_KIND, n_features=6, hidden_units=12),
+        )
     ]
     payload = {"reports": [r.to_dict() for r in reports], "all_passed": all(r.passed for r in reports)}
     text = json.dumps(_jsonable(payload), indent=2)
@@ -186,15 +177,9 @@ def cmd_grid(args) -> int:
             + [f"val_seed{s}" for s in result.seeds]
             + ["mean_val", "std_val"]
         )
-        for i, p in enumerate(result.points):
-            per_seed = ["" if r.diverged else repr(r.final_val) for r in p.runs]
-            writer.writerow(
-                [i]
-                + [repr(float(v)) for v in p.raw_point]
-                + [repr(float(v)) for v in p.lam]
-                + per_seed
-                + [repr(p.mean_val), repr(p.std_val)]
-            )
+        for i, p in enumerate(result.points):  # str() of a float is its repr
+            per_seed = ["" if r.diverged else r.final_val for r in p.runs]
+            writer.writerow([i, *map(float, p.raw_point), *p.lam.tolist(), *per_seed, p.mean_val, p.std_val])
     print(json.dumps(summary, indent=2))
     _raise_if_diverged([run for point in result.points for run in point.runs])
     return EXIT_OK
@@ -225,16 +210,11 @@ def cmd_init_sweep(args) -> int:
 
 def cmd_export(args) -> int:
     try:
-        records = import_results(args.input)
-        n_terms = None
-        if not records:
-            if Path(args.input).suffix.lower() == ".json":
-                raise ValueError("cannot infer column arity from an empty JSON trajectory")
-            n_terms = trajectory_arity(args.input)
-        export_results(records, args.format, args.out_file, n_terms=n_terms)
+        rows = read_rows(args.input)
+        export_results(rows, args.format, args.out_file)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    print(json.dumps({"written": args.out_file, "records": len(records)}))
+    print(json.dumps({"written": args.out_file, "records": len(rows)}))
     return EXIT_OK
 
 

@@ -67,6 +67,16 @@ def central_fd(fn, x, h: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def _numeric(fn, x, h: float) -> np.ndarray:
+    """Central differences of ``fn`` at ``x``; all infinite where ``fn`` goes non-finite, so the trial fails."""
+    try:
+        return central_fd(fn, x, h)
+    except ValueError:
+        if not h > 0.0:
+            raise
+        return np.full(np.shape(x), np.inf)
+
+
 def _aggregate(name, tol, trials) -> GradCheckReport:
     """Fold (analytic, numeric) gradient pairs into a report.
 
@@ -113,7 +123,7 @@ def _exponent_trials(analytic, value, n_trials, k_range, h, seed, draw=lambda rn
         k = int(rng.choice(k_range))
         aux = rng.normal(0.0, 2.0, size=k)
         extra = draw(rng, k)
-        numeric = central_fd(lambda free: value(HPExponents.from_auxiliary(free), *extra), aux, h)
+        numeric = _numeric(lambda free: value(HPExponents.from_auxiliary(free), *extra), aux, h)
         yield analytic(HPExponents.from_auxiliary(aux), *extra)[1:], numeric
 
 
@@ -175,7 +185,7 @@ def check_model_gradients(
             lam = np.maximum(lam, 1e-9)
             lam = lam / lam.sum()
             batch = take(pool, rng.choice(len(pool), size=batch_size, replace=False))
-            numeric = central_fd(lambda wv: lam @ model.losses(wv, batch), w, h)
+            numeric = _numeric(lambda wv: lam @ model.losses(wv, batch), w, h)
             yield model.param_gradient(w, batch, lam), numeric
 
     return _aggregate(f"param_gradient[{model.spec.kind}]", tol, trials())

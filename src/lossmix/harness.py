@@ -47,6 +47,7 @@ __all__ = [
     "run_init_sweep",
     "export_results",
     "import_results",
+    "read_rows",
     "trajectory_columns",
     "normalize_weights",
 ]
@@ -63,12 +64,11 @@ class TrainingDiverged(RuntimeError):
 
     def __init__(self, step: int, what: str):
         super().__init__(f"training diverged at step {step}: {what}")
-        self.step = step
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Snapshot taken after an update step.
+    """One trajectory row, read as named fields: a snapshot taken after an update step.
 
     ``losses`` are the per-term batch means computed during that step
     (at the pre-update parameters); ``mu``/``lam`` are the post-update
@@ -84,37 +84,59 @@ class TrajectoryRecord:
     regularizer: float
     val_basic_loss: float
 
-    @property
-    def n_terms(self) -> int:
-        return self.mu.size
+    @classmethod
+    def from_row(cls, row: np.ndarray) -> "TrajectoryRecord":
+        """The record of one row in :func:`trajectory_columns` order."""
+        k = (row.size - 4) // 3
+        mu, lam, losses = (row[1 + i * k : 1 + (i + 1) * k].copy() for i in range(3))
+        return cls(int(row[0]), mu, lam, losses, *(float(v) for v in row[-3:]))
 
 
 @dataclass
 class RunResult:
     """Outcome of a single training run.
 
-    ``wall_time`` is the wall time of the stack the run was trained in.
+    ``rows`` is the run's trajectory, one row per recorded step, with its
+    columns in :func:`trajectory_columns` order; everything about the
+    trajectory is read off it. ``wall_time`` is the wall time of the
+    stack the run was trained in.
     """
 
     seed: int
     mode: str
     fixed_weights: np.ndarray | None
     initial_mu: np.ndarray
-    trajectory: list[TrajectoryRecord]
-    best_val: float
-    best_val_step: int
+    rows: np.ndarray  # (T, C)
     diverged: bool
     diverged_step: int | None
     diverged_reason: str | None
     wall_time: float
 
     @property
+    def trajectory(self) -> list[TrajectoryRecord]:
+        return [TrajectoryRecord.from_row(row) for row in self.rows]
+
+    @property
     def final(self) -> TrajectoryRecord | None:
-        return self.trajectory[-1] if self.trajectory else None
+        return TrajectoryRecord.from_row(self.rows[-1]) if len(self.rows) else None
 
     @property
     def final_val(self) -> float:
-        return self.trajectory[-1].val_basic_loss if self.trajectory else math.inf
+        return float(self.rows[-1, -1]) if len(self.rows) else math.inf
+
+    @property
+    def best_val(self) -> float:
+        return self._best()[0]
+
+    @property
+    def best_val_step(self) -> int:
+        return self._best()[1]
+
+    def _best(self) -> tuple[float, int]:
+        """The lowest finite validation loss and its step, the first one on a tie; (inf, 0) if none."""
+        val = np.where(self.rows[:, -1] < math.inf, self.rows[:, -1], math.inf)  # NaN -> inf
+        i = int(np.argmin(val)) if val.size else 0
+        return (float(val[i]), int(self.rows[i, 0])) if val.size and val[i] < math.inf else (math.inf, 0)
 
 
 def normalize_weights(raw) -> np.ndarray:
@@ -176,10 +198,10 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
     h = np.zeros_like(mu0)
 
     live = np.arange(len(seeds))  # the stack's rows, as indices into ``seeds``
-    trajectories: list[list[TrajectoryRecord]] = [[] for _ in seeds]
-    best_val = [math.inf] * len(seeds)
-    best_step = [0] * len(seeds)
-    stopped: dict[int, tuple[int, str]] = {}  # run -> (step, reason)
+    n_records = -(-ocfg.total_steps // config.record_every)
+    traj = np.empty((len(seeds), n_records, len(trajectory_columns(len(names)))))  # (R, T, C)
+    k = 0  # record steps so far; a run that stops keeps the first k rows of its ``traj``
+    stopped: dict[int, tuple[int, str, int]] = {}  # run -> (step, reason, k)
     started = time.perf_counter()
 
     with np.errstate(all="ignore"):  # a diverging run overflows; the checks below catch it
@@ -194,7 +216,7 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
             faults = _faults(lvals, params.w, hps.mu.mu)
             if faults is not None:
                 keep = np.array([fault is None for fault in faults])
-                stopped.update((int(r), (t, fault)) for r, fault in zip(live, faults) if fault)
+                stopped.update((int(r), (t, fault, k)) for r, fault in zip(live, faults) if fault)
                 live = live[keep]
                 if not live.size:
                     break
@@ -212,20 +234,9 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
                 else:
                     reg = np.zeros(live.size)
                 composite = (lam * lvals).sum(axis=-1)
-                for j, r in enumerate(live):
-                    trajectories[r].append(
-                        TrajectoryRecord(
-                            t=t,
-                            mu=hps.mu.mu[j].copy(),
-                            lam=lam[j].copy(),
-                            losses=lvals[j].copy(),
-                            composite=float(composite[j]),
-                            regularizer=float(reg[j]),
-                            val_basic_loss=float(val_basic[j]),
-                        )
-                    )
-                    if val_basic[j] < best_val[r]:
-                        best_val[r], best_step[r] = float(val_basic[j]), t
+                block = (np.full(live.size, t), hps.mu.mu, lam, lvals, composite, reg, val_basic)
+                traj[live, k] = np.column_stack(block)
+                k += 1
 
     wall = time.perf_counter() - started
     return [
@@ -234,9 +245,7 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
             mode=config.mode,
             fixed_weights=fixed,
             initial_mu=mu0[r].copy(),
-            trajectory=trajectories[r],
-            best_val=best_val[r],
-            best_val_step=best_step[r],
+            rows=traj[r, : stopped[r][2] if r in stopped else k],
             diverged=r in stopped,
             diverged_step=stopped[r][0] if r in stopped else None,
             diverged_reason=stopped[r][1] if r in stopped else None,
@@ -373,16 +382,15 @@ def run_seed_study(config: ExperimentConfig, seeds=None) -> SeedStudyReport:
     runs = _train_stack([config] * len(seeds), list(seeds))
     kept = [r for r in runs if not r.diverged]
     n_terms = runs[0].initial_mu.size
-    final_mu = np.array([r.final.mu for r in kept]).reshape(len(kept), n_terms)
+    # kept runs share the record steps, the last of which is the final step
+    all_mu = np.array([r.rows[:, 1 : n_terms + 1] for r in kept] or np.empty((0, 1, n_terms)))  # (S, T, K+1)
+    final_mu = all_mu[:, -1]
     final_vals = np.array([r.final_val for r in kept])
     if kept:
-        spread_final = final_mu.max(axis=0) - final_mu.min(axis=0)
-        all_mu = np.array([[rec.mu for rec in r.trajectory] for r in kept])  # (S, T, K+1)
-        inits = np.array([r.initial_mu for r in kept])
-        lo = np.minimum(all_mu.min(axis=(0, 1)), inits.min(axis=0))
-        hi = np.maximum(all_mu.max(axis=(0, 1)), inits.max(axis=0))
-        mu_range = hi - lo
-        step_spread = (all_mu.max(axis=0) - all_mu.min(axis=0)).max(axis=0)
+        spread_final = np.ptp(final_mu, axis=0)
+        inits = np.array([r.initial_mu for r in kept])[:, None]
+        mu_range = np.ptp(np.concatenate([inits, all_mu], axis=1), axis=(0, 1))
+        step_spread = np.ptp(all_mu, axis=0).max(axis=0)
     else:
         spread_final = mu_range = step_spread = np.full(n_terms, math.nan)
 
@@ -483,94 +491,66 @@ def trajectory_columns(n_terms: int) -> list[str]:
     )
 
 
-def _record_row(rec: TrajectoryRecord) -> list:
-    return (
-        [rec.t]
-        + [float(v) for v in rec.mu]
-        + [float(v) for v in rec.lam]
-        + [float(v) for v in rec.losses]
-        + [float(rec.composite), float(rec.regularizer), float(rec.val_basic_loss)]
-    )
-
-
-def export_results(records, fmt: str, path, n_terms: int | None = None) -> Path:
-    """Write trajectory records to CSV or JSON with the fixed schema.
+def export_results(rows, fmt: str, path) -> Path:
+    """Write trajectory rows, a ``(T, C)`` array, to CSV or JSON with the fixed schema.
 
     Column order: t, mu_0..mu_K, lambda_0..lambda_K, l_0..l_K, L_e, L_r,
-    val_basic_loss. ``n_terms`` is only needed when ``records`` is empty
-    (to size the header). Floats are written with round-trip precision.
+    val_basic_loss; C fixes K, so an empty trajectory still gets its
+    header. Floats are written with round-trip precision.
     """
-    records = list(records)
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    if records:
-        n_terms = records[0].n_terms
-    elif n_terms is None:
-        raise ValueError("n_terms is required to export an empty trajectory")
-    columns = trajectory_columns(n_terms)
+    rows = np.asarray(rows, dtype=np.float64)
+    columns = trajectory_columns((rows.shape[-1] - 4) // 3)
+    if rows.ndim != 2 or rows.shape[1] != len(columns):
+        raise ValueError(f"trajectory rows must be a (T, 3 * n_terms + 4) array, got shape {rows.shape}")
+    table = [[int(row[0])] + row[1:].tolist() for row in rows]
     path = Path(path)
     try:
-        if fmt == "csv":
-            with path.open("w", newline="") as fh:
+        with path.open("w", newline="") as fh:
+            if fmt == "csv":  # str() of a float is its repr
                 writer = csv.writer(fh)
                 writer.writerow(columns)
-                for rec in records:
-                    row = _record_row(rec)
-                    writer.writerow([str(row[0])] + [repr(v) for v in row[1:]])
-        else:
-            payload = [dict(zip(columns, _record_row(rec))) for rec in records]
-            with path.open("w") as fh:
-                json.dump(payload, fh, indent=2)
+                writer.writerows(table)
+            else:
+                json.dump([dict(zip(columns, values)) for values in table], fh, indent=2)
     except OSError as exc:
         raise OSError(f"cannot write {fmt} trajectory to {path}: {exc}") from exc
     return path
 
 
-def _records_from_rows(columns, rows) -> list[TrajectoryRecord]:
-    n_terms = sum(1 for c in columns if c.startswith("mu_"))
-    if list(columns) != trajectory_columns(n_terms):
-        raise ValueError(f"unexpected trajectory columns {list(columns)!r}")
-    out = []
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError(f"trajectory row has {len(row)} values for {len(columns)} columns")
-        vals = [float(v) for v in row[1:]]
-        mu, lam, losses = (np.array(vals[i * n_terms : (i + 1) * n_terms]) for i in range(3))
-        out.append(TrajectoryRecord(int(row[0]), mu, lam, losses, *vals[3 * n_terms :]))
-    return out
+def read_rows(path, fmt: str | None = None) -> np.ndarray:
+    """The ``(T, C)`` rows of a trajectory file written by :func:`export_results`.
 
-
-def trajectory_arity(path) -> int:
-    """Number of loss terms in a trajectory CSV, readable from its header alone."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        columns = next(csv.reader(fh))
-    n_terms = sum(1 for c in columns if c.startswith("mu_"))
-    if list(columns) != trajectory_columns(n_terms):
-        raise ValueError(f"unexpected trajectory columns in {path}")
-    return n_terms
-
-
-def import_results(path, fmt: str | None = None) -> list[TrajectoryRecord]:
-    """Read a trajectory file written by :func:`export_results`."""
+    A header-only CSV gives ``(0, C)``; an empty JSON list has no header
+    and gives ``(0, 0)``.
+    """
     path = Path(path)
     if fmt is None:
         fmt = "json" if path.suffix.lower() == ".json" else "csv"
     try:
         if fmt == "csv":
             with path.open(newline="") as fh:
-                reader = csv.reader(fh)
-                columns = next(reader)
-                rows = list(reader)
-            return _records_from_rows(columns, rows)
-        payload = json.loads(path.read_text())
-        if not payload:
-            return []
-        columns = list(payload[0].keys())
-        rows = [[rec[c] for c in columns] for rec in payload]
-        return _records_from_rows(columns, rows)
+                columns, *table = list(csv.reader(fh)) or [[]]
+        else:
+            payload = json.loads(path.read_text())
+            if not payload:
+                return np.empty((0, 0))
+            columns = list(payload[0])
+            table = [[rec[c] for c in columns] for rec in payload]
     except OSError as exc:
         raise OSError(f"cannot read trajectory from {path}: {exc}") from exc
+    if columns != trajectory_columns((len(columns) - 4) // 3):
+        raise ValueError(f"unexpected trajectory columns {columns!r}")
+    for row in table:
+        if len(row) != len(columns):
+            raise ValueError(f"trajectory row has {len(row)} values for {len(columns)} columns")
+    return np.array([[float(v) for v in row] for row in table]).reshape(len(table), len(columns))
+
+
+def import_results(path, fmt: str | None = None) -> list[TrajectoryRecord]:
+    """Read a trajectory file written by :func:`export_results` as records."""
+    return [TrajectoryRecord.from_row(row) for row in read_rows(path, fmt)]
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +574,7 @@ def run_summary(result: RunResult) -> dict:
         "mode": result.mode,
         "fixed_weights": result.fixed_weights,
         "initial_mu": result.initial_mu,
-        "steps_recorded": len(result.trajectory),
+        "steps_recorded": len(result.rows),
         "final_step": final.t if final else None,
         "final_mu": final.mu if final else None,
         "final_lambda": final.lam if final else None,

@@ -105,9 +105,6 @@ class HPExponents:
     def n_aux(self) -> int:
         return self.mu.shape[-1] - 1
 
-    def __len__(self) -> int:
-        return self.mu.shape[-1]
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -148,9 +145,6 @@ class LossVector:
             raise ValueError(f"{len(names)} names for {n_terms} values")
         object.__setattr__(self, "values", _frozen_copy(values))
         object.__setattr__(self, "names", names)
-
-    def __len__(self) -> int:
-        return self.values.shape[-1]
 
 
 def softmax_weights(mu: HPExponents) -> LossWeights:

@@ -96,7 +96,6 @@ class ParamState:
     w: np.ndarray
     m: np.ndarray
     v: np.ndarray  # second moment, used by the AdamW step only
-    step: int = 0
 
 
 @dataclass
@@ -110,14 +109,13 @@ class HPState:
     mu: HPExponents
     n: np.ndarray
     v: np.ndarray
-    step: int = 0
 
 
 def init_param_state(w0) -> ParamState:
     w = np.asarray(w0, dtype=np.float64).copy()
     if not np.all(np.isfinite(w)):
         raise ValueError("initial parameters must be finite")
-    return ParamState(w=w, m=np.zeros_like(w), v=np.zeros_like(w), step=0)
+    return ParamState(w=w, m=np.zeros_like(w), v=np.zeros_like(w))
 
 
 def init_hp_state(n_aux: int, epsilon: float) -> HPState:
@@ -128,7 +126,7 @@ def init_hp_state(n_aux: int, epsilon: float) -> HPState:
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
     mu = HPExponents.from_auxiliary(np.full(n_aux, math.log(epsilon)))
     zeros = np.zeros(n_aux + 1)
-    return HPState(mu=mu, n=zeros.copy(), v=zeros.copy(), step=0)
+    return HPState(mu=mu, n=zeros.copy(), v=zeros.copy())
 
 
 def schedule_multiplier(t: int, config: OptimizerConfig) -> float:
@@ -178,15 +176,15 @@ def _joint_step(params: ParamState, hps: HPState, g, h, t: int, config: Optimize
         raise ValueError("gradient entry for the frozen basic exponent must be 0")
     lr = schedule_multiplier(t, config) * config.effective_alpha
 
-    m, v, dw = moments(params.m, params.v, _clipped(g, config.grad_clip), lr, params.step + 1, config)
-    n, u, dmu = moments(hps.n, hps.v, _clipped(h, config.grad_clip), lr, hps.step + 1, config)
+    m, v, dw = moments(params.m, params.v, _clipped(g, config.grad_clip), lr, t, config)
+    n, u, dmu = moments(hps.n, hps.v, _clipped(h, config.grad_clip), lr, t, config)
     w = params.w - dw - lr * config.weight_decay * params.w
     mu = hps.mu.mu - dmu
     if config.hp_decay > 0.0:  # off for fixed weights, which then skip the regularizer entirely
         mu = mu - lr * config.hp_decay * regularizer_gradient(hps.mu)
     return (
-        ParamState(w=w, m=m, v=v, step=params.step + 1),
-        HPState(mu=_trusted(HPExponents, mu=mu), n=n, v=u, step=hps.step + 1),
+        ParamState(w=w, m=m, v=v),
+        HPState(mu=_trusted(HPExponents, mu=mu), n=n, v=u),
     )
 
 
@@ -208,7 +206,7 @@ def sgdw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerC
 
 
 def adamw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig) -> tuple[ParamState, HPState]:
-    """One joint AdamW update with bias correction on both moment pairs.
+    """One joint AdamW update with bias correction at step ``t`` on both moment pairs.
 
     Weight decay on ``w`` and the exponent regularizer on ``mu`` both
     enter decoupled from the adaptive part, each scaled by eta * alpha.

@@ -13,6 +13,7 @@ from lossmix import gradcheck
 from lossmix.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from lossmix.config import load_config
 from lossmix.harness import import_results, run_training
+from lossmix.models import LinearMultiLossModel
 
 CONFIG = """
 model = multiloss_linear_regression
@@ -88,6 +89,25 @@ class TestGradcheckCommand:
         hp = payload["reports"][0]
         assert hp["passed"] is False
         assert hp["max_relative_error"] is None and hp["max_absolute_error"] is None
+
+    @pytest.mark.parametrize(
+        "target, name, value, failing",
+        [
+            (gradcheck, "composite_loss", lambda lam, losses: np.nan, 0),
+            (LinearMultiLossModel, "losses", lambda self, w, batch: np.full(w.shape[:-1] + (3,), np.nan), 2),
+        ],
+        ids=["hp-value", "model-losses"],
+    )
+    def test_non_finite_value_function_fails_with_valid_json(self, capsys, monkeypatch, target, name, value, failing):
+        monkeypatch.setattr(target, name, value)
+        code = main(["gradcheck", "--trials", "5", "--model-trials", "2"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"JSON constant {c}"))
+        assert payload["all_passed"] is False
+        for i, report in enumerate(payload["reports"]):
+            assert report["passed"] is (i != failing)
+        bad = payload["reports"][failing]
+        assert bad["max_relative_error"] is None and bad["max_absolute_error"] is None
 
 
 class TestTrainCommand:
@@ -279,11 +299,18 @@ class TestExportCommand:
         capsys.readouterr()
 
     def test_header_only_csv_keeps_arity(self, tmp_path, capsys):
-        from lossmix.harness import export_results, trajectory_arity
+        from lossmix.harness import export_results, read_rows
 
         src = tmp_path / "empty.csv"
-        export_results([], "csv", src, n_terms=4)
+        export_results(np.empty((0, 13)), "csv", src)
         dst = tmp_path / "empty2.csv"
         assert main(["export", "--input", str(src), "--format", "csv", "--out-file", str(dst)]) == EXIT_OK
-        assert trajectory_arity(dst) == 4
+        assert read_rows(dst).shape == (0, 13)
+        assert json.loads(capsys.readouterr().out)["records"] == 0
+        empty_json = tmp_path / "empty.json"
+        assert main(["export", "--input", str(src), "--format", "json", "--out-file", str(empty_json)]) == EXIT_OK
         capsys.readouterr()
+        # an empty JSON list carries no header, so its arity is unknown
+        code = main(["export", "--input", str(empty_json), "--format", "csv", "--out-file", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"] == "config"

@@ -3,17 +3,20 @@
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from lossmix.config import ConfigError, ExperimentConfig
 from lossmix.harness import (
+    RunResult,
+    TrajectoryRecord,
     _faults,
     export_results,
     import_results,
     normalize_weights,
+    read_rows,
     run_grid_search,
     run_init_sweep,
     run_seed_study,
@@ -42,44 +45,17 @@ def small_config(**kw):
     return ExperimentConfig(**defaults)
 
 
-def records_close(a, b, tol=1e-12):
-    """Equal step numbers, and every recorded value equal within ``tol`` relative."""
-    if [r.t for r in a] != [r.t for r in b]:
-        return False
+def assert_same_records(a, b):
+    """Equal record lists, field by field and bitwise."""
+    assert len(a) == len(b)
     for ra, rb in zip(a, b):
-        for fa, fb in (
-            (ra.mu, rb.mu),
-            (ra.lam, rb.lam),
-            (ra.losses, rb.losses),
-            (ra.composite, rb.composite),
-            (ra.regularizer, rb.regularizer),
-            (ra.val_basic_loss, rb.val_basic_loss),
-        ):
-            if not np.allclose(fa, fb, rtol=tol, atol=tol):
-                return False
-    return True
+        for f in fields(TrajectoryRecord):
+            assert np.array_equal(getattr(ra, f.name), getattr(rb, f.name)), f.name
 
 
-def records_equal(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if ra.t != rb.t:
-            return False
-        for fa, fb in (
-            (ra.mu, rb.mu),
-            (ra.lam, rb.lam),
-            (ra.losses, rb.losses),
-        ):
-            if not np.array_equal(fa, fb):
-                return False
-        if (ra.composite, ra.regularizer, ra.val_basic_loss) != (
-            rb.composite,
-            rb.regularizer,
-            rb.val_basic_loss,
-        ):
-            return False
-    return True
+def rows_close(a, b, tol=1e-12):
+    """Same shape, and every recorded value (step numbers included) equal within ``tol`` relative."""
+    return a.shape == b.shape and np.allclose(a, b, rtol=tol, atol=tol)
 
 
 class TestRunTraining:
@@ -125,13 +101,13 @@ class TestRunTraining:
         cfg = small_config()
         a = run_training(cfg, 3)
         b = run_training(cfg, 3)
-        assert records_equal(a.trajectory, b.trajectory)
+        assert np.array_equal(a.rows, b.rows)
 
     def test_seeds_differ(self):
         cfg = small_config()
         a = run_training(cfg, 0)
         b = run_training(cfg, 1)
-        assert not records_equal(a.trajectory, b.trajectory)
+        assert not np.array_equal(a.rows, b.rows)
 
     def test_divergence_flagged_with_partial_trajectory(self):
         cfg = small_config(
@@ -149,6 +125,22 @@ class TestRunTraining:
         assert result.best_val == min(vals)
         assert result.best_val_step in [rec.t for rec in result.trajectory]
 
+    def test_best_val_takes_the_first_tied_minimum(self):
+        def run(vals):
+            rows = np.zeros((len(vals), 10))
+            rows[:, 0] = 10 * np.arange(1, len(vals) + 1)
+            rows[:, -1] = vals
+            return RunResult(0, "learned", None, np.zeros(3), rows, False, None, None, 0.0)
+
+        tied = run([0.5, 0.2, 0.3, 0.2])
+        assert (tied.best_val, tied.best_val_step) == (0.2, 20)
+        assert tied.final_val == 0.2 and tied.final.t == 40
+        skips_non_finite = run([np.nan, np.inf, 0.4])
+        assert (skips_non_finite.best_val, skips_non_finite.best_val_step) == (0.4, 30)
+        for none in (run([]), run([np.inf, np.nan])):
+            assert (none.best_val, none.best_val_step) == (math.inf, 0)
+        assert run([]).final is None and run([]).final_val == math.inf
+
 
 class TestGridSearch:
     def test_one_point_grid_equals_fixed_run(self):
@@ -156,7 +148,7 @@ class TestGridSearch:
         grid = run_grid_search(cfg)
         fixed = run_training(replace(cfg, mode="fixed", fixed_weights=(1.0, 0.25, 0.1)), 0)
         assert len(grid.points) == 1
-        assert records_equal(grid.points[0].runs[0].trajectory, fixed.trajectory)
+        assert np.array_equal(grid.points[0].runs[0].rows, fixed.rows)
 
     def test_normalization_conformance(self):
         cfg = small_config(grid_axes=((0.25, 1.0), (0.1,)), seeds=(0,))
@@ -201,13 +193,13 @@ class TestStackedEngine:
         for run, seed in zip(stacked, seeds):
             alone = run_training(cfg, seed)
             assert not run.diverged and not alone.diverged
-            assert records_close(run.trajectory, alone.trajectory)
+            assert rows_close(run.rows, alone.rows)
 
     def test_ragged_last_batch_matches_single_runs(self):
         cfg = small_config(n_train=30, batch_size=8)  # epochs of 8, 8, 8, 6
         stacked = run_seed_study(cfg, seeds=(0, 1)).runs
         for run in stacked:
-            assert records_close(run.trajectory, run_training(cfg, run.seed).trajectory)
+            assert rows_close(run.rows, run_training(cfg, run.seed).rows)
 
     def test_diverging_row_leaves_the_others_bitwise_unchanged(self):
         # a raw weight of 1e305 puts its exponent past MU_LIMIT, so those runs diverge at
@@ -220,7 +212,7 @@ class TestStackedEngine:
             assert run.trajectory == []
         for a, b in zip(with_bad.points[1].runs, without.points[0].runs):
             assert not a.diverged
-            assert records_equal(a.trajectory, b.trajectory)
+            assert np.array_equal(a.rows, b.rows)
         assert with_bad.best_index == 1
 
     def test_all_rows_diverged(self):
@@ -315,29 +307,43 @@ class TestExportImport:
     def test_csv_round_trip(self, tmp_path):
         result = run_training(small_config(), 0)
         path = tmp_path / "traj.csv"
-        export_results(result.trajectory, "csv", path)
-        back = import_results(path)
-        assert records_equal(result.trajectory, back)
+        export_results(result.rows, "csv", path)
+        assert np.array_equal(read_rows(path), result.rows)
+        assert_same_records(import_results(path), result.trajectory)
 
     def test_json_round_trip(self, tmp_path):
         result = run_training(small_config(), 0)
         path = tmp_path / "traj.json"
-        export_results(result.trajectory, "json", path)
-        back = import_results(path)
-        assert records_equal(result.trajectory, back)
+        export_results(result.rows, "json", path)
+        assert np.array_equal(read_rows(path), result.rows)
+        assert_same_records(import_results(path), result.trajectory)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_round_trip_bitwise(self, tmp_path, fmt):
+        rows = np.array([
+            [1.0, 0.0, -0.0, 5e-324, 0.1 + 0.2, 1 / 3, 2 / 3, 1.7976931348623157e308, -2.5e-300, 7.0, 1e-17, 0.0,
+             123.456],
+            [2.0, 0.0, -745.1, 700.0, 1.0, 5e-324, 1 - 5e-324, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+        ])
+        path = export_results(rows, fmt, tmp_path / f"traj.{fmt}")
+        back = read_rows(path)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, rows)
+        assert np.array_equal(np.signbit(back), np.signbit(rows))
 
     def test_empty_trajectory_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        export_results([], "csv", path, n_terms=3)
+        export_results(np.empty((0, 13)), "csv", path)
         with path.open() as fh:
             rows = list(csv.reader(fh))
         assert rows == [trajectory_columns(3)]
+        assert read_rows(path).shape == (0, 13)
         assert import_results(path) == []
 
     def test_schema_arity_for_two_aux_terms(self, tmp_path):
         result = run_training(small_config(), 0)
         path = tmp_path / "traj.csv"
-        export_results(result.trajectory, "csv", path)
+        export_results(result.rows, "csv", path)
         with path.open() as fh:
             header = next(csv.reader(fh))
         assert header == [
@@ -348,30 +354,32 @@ class TestExportImport:
         assert sum(1 for c in header if c.startswith("lambda_")) == 3
 
     def test_empty_without_arity_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_results([], "csv", tmp_path / "x.csv")
+        for rows in ([], np.empty((0, 0)), np.empty((0, 11))):
+            with pytest.raises(ValueError):
+                export_results(rows, "csv", tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            export_results([], "parquet", tmp_path / "x.parquet", n_terms=3)
+            export_results(np.empty((0, 13)), "parquet", tmp_path / "x.parquet")
 
     def test_unwritable_path_has_context(self, tmp_path):
         result = run_training(small_config(), 0)
         target = tmp_path / "missing_dir" / "traj.csv"
         with pytest.raises(OSError, match="traj.csv"):
-            export_results(result.trajectory, "csv", target)
+            export_results(result.rows, "csv", target)
 
     def test_json_mirrors_column_names(self, tmp_path):
         result = run_training(small_config(), 0)
         path = tmp_path / "traj.json"
-        export_results(result.trajectory, "json", path)
+        export_results(result.rows, "json", path)
         payload = json.loads(path.read_text())
         assert list(payload[0].keys()) == trajectory_columns(3)
 
     def test_short_row_rejected(self, tmp_path):
         result = run_training(small_config(), 0)
         path = tmp_path / "traj.csv"
-        export_results(result.trajectory, "csv", path)
+        export_results(result.rows, "csv", path)
         lines = path.read_text().splitlines()
         lines[1] = lines[1].rsplit(",", 1)[0]  # drop val_basic_loss from the first record
         path.write_text("\n".join(lines) + "\n")

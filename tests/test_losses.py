@@ -36,7 +36,7 @@ class TestHPExponents:
         mu = HPExponents.from_auxiliary([1.0, -2.0])
         assert mu.mu.tolist() == [0.0, 1.0, -2.0]
         assert mu.n_aux == 2
-        assert len(mu) == 3
+        assert mu.mu.shape[-1] == 3
 
     def test_immutable(self):
         mu = HPExponents([0.0, 1.0])

@@ -165,7 +165,6 @@ class TestAdamwStep:
         params, hps = fresh_states([0.0])
         p2, _ = adamw_step(params, hps, [1.0], [0.0, 0.0], 1, cfg())
         assert abs(abs(p2.w[0]) - 0.1) < 1e-6
-        assert p2.step == 1
 
     def test_decay_only(self):
         params, hps = fresh_states([1.0])
