@@ -96,9 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args, config) -> Path:
-    base = args.out or os.environ.get(OUT_DIR_ENV) or config.out_dir
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    """The resolved output directory, checked before training but not yet made.
+
+    Its nearest existing ancestor must be a writable directory, so an
+    unusable ``--out`` fails before the runs, not after them. The check
+    creates nothing; the caller makes the directory once the runs end.
+    """
+    path = Path(args.out or os.environ.get(OUT_DIR_ENV) or config.out_dir)
+    ancestor = path
+    while not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise NotADirectoryError(f"cannot create output directory {path}: {ancestor} is not a writable directory")
     return path
 
 
@@ -150,8 +159,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.override)
     seed = args.seed if args.seed is not None else config.seeds[0]
-    result = run_training(config, seed)
     out = _out_dir(args, config)
+    result = run_training(config, seed)
+    out.mkdir(parents=True, exist_ok=True)
     summary = _write_run(result, out / f"train_seed{seed}")
     print(json.dumps(summary, indent=2))
     _raise_if_diverged([result])
@@ -160,8 +170,9 @@ def cmd_train(args) -> int:
 
 def cmd_grid(args) -> int:
     config = load_config(args.config, args.override)
-    result = run_grid_search(config)
     out = _out_dir(args, config)
+    result = run_grid_search(config)
+    out.mkdir(parents=True, exist_ok=True)
     summary = grid_summary(result)
     for i, point in enumerate(result.points):
         for run in point.runs:
@@ -187,8 +198,9 @@ def cmd_grid(args) -> int:
 
 def cmd_seed_study(args) -> int:
     config = load_config(args.config, args.override)
-    report = run_seed_study(config)
     out = _out_dir(args, config)
+    report = run_seed_study(config)
+    out.mkdir(parents=True, exist_ok=True)
     for run in report.runs:
         _write_run(run, out / f"study_seed{run.seed}")
     summary = seed_study_summary(report)
@@ -200,8 +212,9 @@ def cmd_seed_study(args) -> int:
 
 def cmd_init_sweep(args) -> int:
     config = load_config(args.config, args.override)
-    report = run_init_sweep(config)
     out = _out_dir(args, config)
+    report = run_init_sweep(config)
+    out.mkdir(parents=True, exist_ok=True)
     summary = init_sweep_summary(report)
     _write_json(out / "init_sweep_summary.json", summary)
     print(json.dumps(summary, indent=2))

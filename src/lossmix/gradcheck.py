@@ -155,9 +155,7 @@ def check_reg_gradients(
     seed: int = 0,
 ) -> GradCheckReport:
     """Regularizer gradient vs central differences of its unit-strength value."""
-    trials = _exponent_trials(
-        regularizer_gradient, lambda mu: regularizer_value(mu, 1.0), n_trials, k_range, h, seed
-    )
+    trials = _exponent_trials(regularizer_gradient, regularizer_value, n_trials, k_range, h, seed)
     return _aggregate("regularizer_gradient", tol, trials)
 
 

@@ -230,7 +230,7 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
             if t % config.record_every == 0 or t == ocfg.total_steps:
                 val_basic = model.losses(params.w, val)[:, 0]
                 if step_cfg.hp_decay:
-                    reg = step_cfg.hp_decay * regularizer_value(hps.mu, 1.0)
+                    reg = step_cfg.hp_decay * regularizer_value(hps.mu)
                 else:
                     reg = np.zeros(live.size)
                 composite = (lam * lvals).sum(axis=-1)
@@ -281,6 +281,21 @@ def run_training(config: ExperimentConfig, seed: int) -> RunResult:
     return _train_stack([config], [seed])[0]
 
 
+def _sample_std(vals: np.ndarray) -> float:
+    """Sample standard deviation (ddof 1) of final vals; 0 for fewer than two.
+
+    The values are divided by a power of two near the largest |value|
+    before squaring, so huge but finite losses give a finite std instead
+    of an overflow. Scaling by a power of two is exact, so wherever the
+    unscaled squares neither overflow nor underflow the result is
+    bitwise the same as ``vals.std(ddof=1)``.
+    """
+    if vals.size < 2:
+        return 0.0
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(vals).max()))[1] - 1)
+    return scale * float((vals / scale).std(ddof=1))
+
+
 @dataclass
 class GridPointResult:
     """All seeds of one fixed-weight grid point."""
@@ -300,8 +315,7 @@ class GridPointResult:
 
     @property
     def std_val(self) -> float:
-        vals = self.final_vals
-        return float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+        return _sample_std(self.final_vals)
 
 
 @dataclass
@@ -371,7 +385,7 @@ class SeedStudyReport:
 
     @property
     def val_std(self) -> float:
-        return float(self.final_vals.std(ddof=1)) if self.final_vals.size > 1 else 0.0
+        return _sample_std(self.final_vals)
 
 
 def run_seed_study(config: ExperimentConfig, seeds=None) -> SeedStudyReport:

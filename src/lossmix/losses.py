@@ -10,9 +10,11 @@ frozen at zero, so only the exponents of the auxiliary terms move.
 
 All operations are pure functions of float64 vectors along the last
 axis, so a stack of runs passes exponents and losses as ``(R, K+1)``
-rows and gets one result row per run. Exponential sums subtract the
-running maximum before exponentiating so that large exponents cannot
-overflow; the shared shift cancels in every ratio.
+rows and gets one result row per run. Only ``softmax_weights``
+exponentiates, subtracting the running maximum first so that large
+exponents cannot overflow; both exponent gradients and the regularizer
+value are built from its weights, each gradient as
+``lam * (x - <lam, x>)``.
 """
 
 from __future__ import annotations
@@ -168,27 +170,38 @@ def composite_loss(weights: LossWeights, losses: LossVector) -> float:
     return float(lam @ l)
 
 
+def _softmax_gradient(mu: HPExponents, x: np.ndarray) -> np.ndarray:
+    """Gradient of ``<lam, x>`` w.r.t. the exponents, for ``x`` held fixed.
+
+    With ``lam = softmax(mu)`` it is ``lam * (x - <lam, x>)``: each entry
+    is its weight times how far its term sits above the weighted level.
+    Entry 0 is set to exactly 0 because the basic exponent never moves.
+
+    The weighted level is subtracted twice. Once a weight nears 1, its
+    own entry ``x_i - <lam, x>`` is a difference of two nearly equal
+    numbers, and a single pass leaves only the rounding error of
+    ``<lam, x>`` in it. The second pass works on the centred ``x`` and
+    removes that error, so every entry keeps the accuracy of the pairwise
+    form ``lam_i * sum_j lam_j (x_i - x_j)``.
+    """
+    lam = softmax_weights(mu).lam
+    x = x - (lam * x).sum(axis=-1, keepdims=True)
+    grad = lam * (x - (lam * x).sum(axis=-1, keepdims=True))
+    grad[..., BASIC_INDEX] = 0.0
+    return grad
+
+
 def hp_gradient_empirical(mu: HPExponents, losses: LossVector) -> np.ndarray:
     """Gradient of the weighted training loss w.r.t. each exponent.
 
-    Entry i (i >= 1) is
-
-        exp(mu_i) * sum_{j != i} (l_i - l_j) exp(mu_j) / (sum_j exp(mu_j))^2
-
-    which can take either sign: a term whose loss sits above the current
-    weighted level is pushed down, one below it is pushed up. Entry 0 is
-    returned as exactly 0 because the basic exponent never moves.
+    Entry i (i >= 1) is ``lam_i * (l_i - <lam, l>)``, which can take
+    either sign: a term whose loss sits above the current weighted level
+    is pushed down, one below it is pushed up. Entry 0 is exactly 0.
     """
     l = losses.values
-    m = mu.mu
-    if m.shape != l.shape:
-        raise ValueError(f"shape mismatch: {m.shape} exponents vs {l.shape} losses")
-    e = np.exp(m - m.max(axis=-1, keepdims=True))  # shared shift cancels between numerator and denominator
-    denom = e.sum(axis=-1, keepdims=True) ** 2
-    diffs = l[..., :, None] - l[..., None, :]  # diffs[i, j] = l_i - l_j; the j == i addend is 0
-    grad = e * (diffs @ e[..., None])[..., 0] / denom
-    grad[..., BASIC_INDEX] = 0.0
-    return grad
+    if mu.mu.shape != l.shape:
+        raise ValueError(f"shape mismatch: {mu.mu.shape} exponents vs {l.shape} losses")
+    return _softmax_gradient(mu, l)
 
 
 def naive_exp_gradient(mu: HPExponents, losses: LossVector) -> np.ndarray:
@@ -218,40 +231,27 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def regularizer_value(mu: HPExponents, rho: float) -> float:
-    """Exponent regularizer: rho * (negated weight entropy + softplus terms).
+def regularizer_value(mu: HPExponents) -> float:
+    """Exponent regularizer at unit strength: negated weight entropy plus softplus terms.
 
-    The entropy part favors weights spread evenly over the loss terms;
-    the softplus part, summed over the auxiliary exponents only, bounds
-    how far any exponent can grow. Exactly linear in rho. One value per
-    row of a stack.
+    That is ``sum_i lam_i log lam_i + sum_{i >= 1} softplus(mu_i)``. The
+    entropy part favors weights spread evenly over the loss terms; the
+    softplus part, summed over the auxiliary exponents only, bounds how
+    far any exponent can grow. One value per row of a stack. The decay
+    strength rho multiplies it at the caller.
     """
-    if not rho > 0.0:  # also rejects NaN
-        raise ValueError(f"rho must be > 0, got {rho!r}")
-    m = mu.mu
-    z = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
-    log_p = z - np.log(total)
-    neg_entropy = ((e / total)[..., None, :] @ log_p[..., :, None])[..., 0, 0]
-    return rho * (neg_entropy + _softplus(m[..., 1:]).sum(axis=-1))
+    lam = softmax_weights(mu).lam
+    return (lam * np.log(lam)).sum(axis=-1) + _softplus(mu.mu[..., 1:]).sum(axis=-1)
 
 
 def regularizer_gradient(mu: HPExponents) -> np.ndarray:
-    """Gradient of the exponent regularizer at unit decay strength.
+    """Gradient of the exponent regularizer at unit strength.
 
-    Entry i (i >= 1) combines the entropy part,
-
-        exp(mu_i) * sum_j exp(mu_j) (mu_i - mu_j) / (sum_j exp(mu_j))^2,
-
-    with the softplus part sigmoid(mu_i); entry 0 is exactly 0. The
-    decay factor rho is applied once, by the optimizer update, so this
-    function stays rho-free.
+    Entry i (i >= 1) is the entropy part ``lam_i * (mu_i - <lam, mu>)``
+    plus the softplus part ``sigmoid(mu_i)``; entry 0 is exactly 0. The
+    decay strength rho is applied once, by the optimizer update.
     """
     m = mu.mu
-    e = np.exp(m - m.max(axis=-1, keepdims=True))
-    denom = e.sum(axis=-1, keepdims=True) ** 2
-    pair = m[..., :, None] - m[..., None, :]  # pair[i, j] = mu_i - mu_j
-    grad = e * (pair @ e[..., None])[..., 0] / denom + _sigmoid(m)
-    grad[..., BASIC_INDEX] = 0.0
+    grad = _softmax_gradient(mu, m)
+    grad[..., 1:] += _sigmoid(m[..., 1:])
     return grad

@@ -4,7 +4,8 @@ Two step families are provided: SGD with momentum and decoupled weight
 decay, and AdamW. In both, the loss-weight exponents receive the same
 treatment as the regular parameters, with two twists: the exponent
 regularizer enters the update decoupled from the momentum buffers,
-scaled once by the decay factor ``hp_decay``, and index 0 (the basic
+scaled once by the decay factor ``hp_decay`` (``losses`` computes the
+regularizer and its gradient at unit strength), and index 0 (the basic
 loss) never moves because its gradient entries are identically zero.
 
 Each family is one moment rule applied to both blocks. Steps are pure:
@@ -196,8 +197,9 @@ def sgdw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerC
         m  <- beta1 m + eta a g          n  <- beta1 n + eta a h
         w  <- w - m - eta a wd w         mu <- mu - n - eta a rho dR(mu)
 
-    where dR is the unit-strength regularizer gradient at the previous
-    exponents and rho = ``hp_decay``. States may carry a leading run
+    where dR(mu)_i = lam_i (mu_i - <lam, mu>) + sigmoid(mu_i) is the
+    unit-strength regularizer gradient at the previous exponents (0 for
+    i = 0) and rho = ``hp_decay``. States may carry a leading run
     axis, ``(R, P)`` and ``(R, K+1)``; every run then takes the same step.
     The new state is returned unchecked: the training loop decides which
     runs diverged.

@@ -278,6 +278,29 @@ class TestInitSweepCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, driver",
+    [
+        ("train", "run_training"),
+        ("grid", "run_grid_search"),
+        ("seed-study", "run_seed_study"),
+        ("init-sweep", "run_init_sweep"),
+    ],
+)
+def test_out_under_a_file_fails_before_training(command, driver, config_path, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{driver} ran although --out cannot be created")
+
+    monkeypatch.setattr(f"lossmix.cli.{driver}", never)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    code = main([command, "--config", str(config_path), "--out", str(blocker / "out" / "deeper")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "io"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "exp.cfg"]  # the check made nothing
+
+
 class TestExportCommand:
     def test_round_trip_between_formats(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

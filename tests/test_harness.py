@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 
 from lossmix.config import ConfigError, ExperimentConfig
 from lossmix.harness import (
+    GridPointResult,
     RunResult,
+    SeedStudyReport,
     TrajectoryRecord,
     _faults,
     export_results,
@@ -281,6 +284,22 @@ class TestSeedStudy:
         report = run_seed_study(small_config(), seeds=(0, 1))
         # exponents start at log(0.1); the traversed range must cover it
         assert report.mu_range[1] > 0.0
+
+    def test_huge_final_vals_give_finite_std(self):
+        # the final vals of two kept runs of a seed study at alpha = 2; their squares overflow
+        vals = np.array([3.1367804537947916e194, 2.321582459111403e199])
+        runs = [
+            RunResult(seed, "learned", None, np.zeros(3), np.array([[1.0, val]]), False, None, None, 0.0)
+            for seed, val in enumerate(vals)
+        ]
+        expected = abs(vals[1] - vals[0]) / math.sqrt(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = GridPointResult((1.0, 1.0, 1.0), np.full(3, 1 / 3), runs)
+            report = SeedStudyReport((0, 1), runs, np.zeros((2, 3)), vals, *[np.zeros(3)] * 3)
+            stds = [point.std_val, report.val_std]
+        for std in stds:
+            assert math.isclose(std, expected, rel_tol=1e-12)
 
 
 class TestInitSweep:

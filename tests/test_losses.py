@@ -195,26 +195,12 @@ class TestNaiveExpGradient:
 class TestRegularizerValue:
     def test_uniform_pair_is_exactly_zero(self):
         # negated entropy -ln 2 cancels the single softplus ln 2
-        for rho in (0.1, 1.0, 3.0):
-            assert regularizer_value(HPExponents([0.0, 0.0]), rho) == 0.0
+        assert regularizer_value(HPExponents([0.0, 0.0])) == 0.0
 
     def test_uniform_triple_hand_value(self):
         # -ln 3 + 2 ln 2, evaluated by hand from the closed form
-        val = regularizer_value(HPExponents([0.0, 0.0, 0.0]), 1.0)
+        val = regularizer_value(HPExponents([0.0, 0.0, 0.0]))
         assert abs(val - 0.2876820724517808) < 1e-12
-
-    def test_exactly_linear_in_rho(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            mu = HPExponents.from_auxiliary(rng.normal(0.0, 2.0, size=3))
-            assert regularizer_value(mu, 2.0) == 2.0 * regularizer_value(mu, 1.0)
-
-    def test_rejects_non_positive_rho(self):
-        mu = HPExponents([0.0, 0.0])
-        with pytest.raises(ValueError):
-            regularizer_value(mu, 0.0)
-        with pytest.raises(ValueError):
-            regularizer_value(mu, -1.0)
 
 
 class TestRegularizerGradient:
@@ -241,7 +227,7 @@ class TestRegularizerGradient:
             analytic = regularizer_gradient(HPExponents.from_auxiliary(aux))[1:]
 
             def value(free):
-                return regularizer_value(HPExponents.from_auxiliary(free), 1.0)
+                return regularizer_value(HPExponents.from_auxiliary(free))
 
             fd = central_fd(value, aux, 1e-6)
             scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-8)

@@ -54,16 +54,41 @@ def test_basic_entry_of_exponent_gradient_would_be_minus_the_rest(case):
     assert math.isclose(fd[0], -h[1:].sum(), rel_tol=1e-6, abs_tol=1e-7)
 
 
+def pairwise_gradient(m, x):
+    """The exponent gradient of ``<softmax(m), x>`` in its pairwise closed form, entry 0 pinned.
+
+    Entry i is ``exp(m_i) sum_j (x_i - x_j) exp(m_j) / (sum_j exp(m_j))^2``,
+    built on a ``(..., K+1, K+1)`` difference tensor: the reference that
+    ``lam * (x - <lam, x>)`` must reproduce.
+    """
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    diffs = x[..., :, None] - x[..., None, :]
+    grad = e * (diffs @ e[..., None])[..., 0] / e.sum(axis=-1, keepdims=True) ** 2
+    grad[..., 0] = 0.0
+    return grad
+
+
 @SMALL
-@given(exponents(-50.0, 50.0), st.floats(1e-6, 1e3), st.floats(1e-6, 1e3))
-def test_regularizer_value_is_linear_in_rho(mu, rho_a, rho_b):
-    unit = regularizer_value(mu, 1.0)
-    scale = 1e-12 * (abs(unit) + 1.0)
-    for rho in (rho_a, rho_b):
-        assert math.isclose(regularizer_value(mu, rho), rho * unit, rel_tol=1e-12, abs_tol=rho * scale)
-    total = regularizer_value(mu, rho_a + rho_b)
-    parts = regularizer_value(mu, rho_a) + regularizer_value(mu, rho_b)
-    assert math.isclose(total, parts, rel_tol=1e-12, abs_tol=(rho_a + rho_b) * scale)
+@given(st.sampled_from([(), (1,), (3,)]), N_TERMS, st.data())
+def test_exponent_gradients_match_pairwise_closed_forms(runs, n_terms, data):
+    aux = data.draw(arrays(np.float64, runs + (n_terms - 1,), elements=st.floats(-50.0, 50.0)))
+    losses = data.draw(arrays(np.float64, runs + (n_terms,), elements=st.floats(0.0, 10.0)))
+    m = np.concatenate([np.zeros(runs + (1,)), aux], axis=-1)
+    mu = HPExponents(m)
+    lam = softmax_weights(mu).lam
+    sigmoid = 1.0 / (1.0 + np.exp(-m))
+    sigmoid[..., 0] = 0.0
+    cases = [
+        (hp_gradient_empirical(mu, LossVector(losses)), pairwise_gradient(m, losses), losses),
+        (regularizer_gradient(mu), pairwise_gradient(m, m) + sigmoid, m),
+    ]
+    for got, ref, x in cases:
+        # relative to each entry's size, or to lam_i sum_j lam_j |x_i - x_j| where the pairwise
+        # addends cancel. Floors: where every x_j is equal the exact 0 comes back as a residue
+        # near 1e-32 max|x|, and subnormal entries carry no relative precision.
+        spread = (lam[..., None, :] * np.abs(x[..., :, None] - x[..., None, :])).sum(axis=-1)
+        scale = np.abs(ref) + lam * spread + 1e-12 * np.abs(x).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale + np.finfo(np.float64).tiny)
 
 
 STEPS = 3
@@ -113,7 +138,7 @@ def test_stacked_loss_layer_matches_serial(runs, n_terms, data):
         hp_gradient_empirical(stack, LossVector(values)),
         [hp_gradient_empirical(m, LossVector(l)) for m, l in zip(rows, values)],
     )
-    assert_rows_match(regularizer_value(stack, 0.5), [regularizer_value(m, 0.5) for m in rows])
+    assert_rows_match(regularizer_value(stack), [regularizer_value(m) for m in rows])
     assert_rows_match(regularizer_gradient(stack), [regularizer_gradient(m) for m in rows])
 
 
