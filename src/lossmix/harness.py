@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,13 +161,44 @@ def _start(config: ExperimentConfig, n_terms: int) -> tuple[np.ndarray, np.ndarr
     return mu0, lam
 
 
+# the settings the rows of one stack may differ in; every other one is read from the first row
+PER_ROW_SETTINGS = ("seeds", "fixed_weights", "optimizer.init_epsilon")
+
+
+def _settings(config: ExperimentConfig) -> dict:
+    """Every setting of ``config`` by field name, the nested specs' as ``model.x`` and ``optimizer.x``."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name in ("model", "optimizer"):
+            out.update((f"{f.name}.{g.name}", getattr(value, g.name)) for g in fields(value))
+        else:
+            out[f.name] = value
+    return out
+
+
+def _check_shared(configs: list[ExperimentConfig]) -> None:
+    """Raise ``ConfigError`` naming a setting, other than the per-row ones, on which two rows differ."""
+    first = _settings(configs[0])
+    for config in configs[1:]:
+        if config is configs[0]:
+            continue
+        for name, value in _settings(config).items():
+            # ``is`` first: a NaN setting shared by two rows is the same object but not equal to itself
+            if name not in PER_ROW_SETTINGS and not (value is first[name] or value == first[name]):
+                raise ConfigError(
+                    f"the runs of one stack may differ only in {', '.join(PER_ROW_SETTINGS)}; "
+                    f"they differ in {name} ({first[name]!r} and {value!r})"
+                )
+
+
 def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunResult]:
     """Train one run per (config, seed) pair, all of them together.
 
     The runs sit on a leading axis: parameters ``(R, P)``, exponents
     ``(R, K+1)`` and batches ``(R, B, d)``. They may differ in seed,
-    ``fixed_weights`` and ``init_epsilon``; every other setting comes
-    from the first config. Each step draws a mini-batch per run,
+    ``fixed_weights`` and ``init_epsilon``; a difference in any other
+    setting is a ``ConfigError``. Each step draws a mini-batch per run,
     evaluates the per-term losses, computes the parameter gradient under
     the current mixture weights and, in learned mode, the exponent
     gradient, then applies the joint optimizer update. Each run's
@@ -179,6 +210,7 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
     t: it leaves the stack with its partial trajectory and reason, and
     the other runs carry on.
     """
+    _check_shared(configs)
     config = configs[0]
     ocfg = config.optimizer
     model = build_model(config.model)
@@ -260,12 +292,17 @@ def _faults(lvals: np.ndarray, w: np.ndarray, mu: np.ndarray) -> list[str | None
 
     A non-finite loss comes first, then a non-finite state, then an exponent past ``MU_LIMIT``.
     """
+    all_, max_ = np.logical_and.reduce, np.maximum.reduce  # what ndarray.all and .max call, minus the wrapper
     # the usual case, checked over the whole stack at once; a NaN exponent fails the range test
-    if np.isfinite(w).all() and np.abs(mu).max() <= MU_LIMIT and np.isfinite(lvals).all():
+    if (
+        all_(np.isfinite(w), axis=None)
+        and max_(np.abs(mu), axis=None) <= MU_LIMIT
+        and all_(np.isfinite(lvals), axis=None)
+    ):
         return None
-    loss_ok = np.isfinite(lvals).all(axis=-1)
-    finite = np.isfinite(w).all(axis=-1) & np.isfinite(mu).all(axis=-1)
-    in_range = np.abs(mu).max(axis=-1) <= MU_LIMIT
+    loss_ok = all_(np.isfinite(lvals), axis=-1)
+    finite = all_(np.isfinite(w), axis=-1) & all_(np.isfinite(mu), axis=-1)
+    in_range = max_(np.abs(mu), axis=-1) <= MU_LIMIT
     return [
         NON_FINITE_LOSS if not loss else NON_FINITE_STATE if not state else OUT_OF_RANGE if not rng else None
         for loss, state, rng in zip(loss_ok, finite, in_range)
@@ -282,7 +319,7 @@ def run_training(config: ExperimentConfig, seed: int) -> RunResult:
 
 
 def _sample_std(vals: np.ndarray) -> float:
-    """Sample standard deviation (ddof 1) of final vals; 0 for fewer than two.
+    """Sample standard deviation (ddof 1) of final vals; 0 for one, NaN for none.
 
     The values are divided by a power of two near the largest |value|
     before squaring, so huge but finite losses give a finite std instead
@@ -291,7 +328,7 @@ def _sample_std(vals: np.ndarray) -> float:
     bitwise the same as ``vals.std(ddof=1)``.
     """
     if vals.size < 2:
-        return 0.0
+        return 0.0 if vals.size else math.nan
     scale = math.ldexp(1.0, math.frexp(float(np.abs(vals).max()))[1] - 1)
     return scale * float((vals / scale).std(ddof=1))
 

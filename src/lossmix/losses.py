@@ -10,16 +10,18 @@ frozen at zero, so only the exponents of the auxiliary terms move.
 
 All operations are pure functions of float64 vectors along the last
 axis, so a stack of runs passes exponents and losses as ``(R, K+1)``
-rows and gets one result row per run. Only ``softmax_weights``
-exponentiates, subtracting the running maximum first so that large
-exponents cannot overflow; both exponent gradients and the regularizer
-value are built from its weights, each gradient as
-``lam * (x - <lam, x>)``.
+rows and gets one result row per run. Only ``_softmax`` exponentiates,
+subtracting the running maximum first so that large exponents cannot
+overflow, and it runs once per ``HPExponents`` object: the exponents are
+immutable, so their weights are computed on first use and kept. Both
+exponent gradients and the regularizer value are built from those
+weights, each gradient as ``lam * (x - <lam, x>)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +109,19 @@ class HPExponents:
     def n_aux(self) -> int:
         return self.mu.shape[-1] - 1
 
+    @cached_property
+    def weights(self) -> "LossWeights":
+        """The softmax weights of these exponents, computed on first use and kept read-only.
+
+        ``mu`` is made read-only here too, so that an exponents object built
+        without the constructor's copy (``_trusted``) cannot be written into
+        after its weights were kept.
+        """
+        self.mu.setflags(write=False)
+        lam = _softmax(self.mu)
+        lam.setflags(write=False)
+        return _trusted(LossWeights, lam=lam)
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -149,6 +164,12 @@ class LossVector:
         object.__setattr__(self, "names", names)
 
 
+def _softmax(m: np.ndarray) -> np.ndarray:
+    """``exp(m_i) / sum_j exp(m_j)`` along the last axis, floored at the smallest normal float."""
+    e = np.exp(np.maximum(m - np.maximum.reduce(m, axis=-1, keepdims=True), _LOG_TINY))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
 def softmax_weights(mu: HPExponents) -> LossWeights:
     """Map exponents to mixture weights, ``exp(mu_i) / sum_j exp(mu_j)``.
 
@@ -156,10 +177,12 @@ def softmax_weights(mu: HPExponents) -> LossWeights:
     a strictly positive vector summing to one, one per row of ``mu``. An
     exponent more than ~708 below the largest gets the smallest normal
     float as its unnormalized weight instead of underflowing to 0.
+
+    The weights are those cached on ``mu`` (``HPExponents.weights``): the
+    first call on an exponents object computes them, and every later call
+    returns the same object, whose ``lam`` is read-only.
     """
-    m = mu.mu
-    e = np.exp(np.maximum(m - m.max(axis=-1, keepdims=True), _LOG_TINY))
-    return _trusted(LossWeights, lam=e / e.sum(axis=-1, keepdims=True))
+    return mu.weights
 
 
 def composite_loss(weights: LossWeights, losses: LossVector) -> float:
@@ -185,8 +208,8 @@ def _softmax_gradient(mu: HPExponents, x: np.ndarray) -> np.ndarray:
     form ``lam_i * sum_j lam_j (x_i - x_j)``.
     """
     lam = softmax_weights(mu).lam
-    x = x - (lam * x).sum(axis=-1, keepdims=True)
-    grad = lam * (x - (lam * x).sum(axis=-1, keepdims=True))
+    x = x - np.add.reduce(lam * x, axis=-1, keepdims=True)
+    grad = lam * (x - np.add.reduce(lam * x, axis=-1, keepdims=True))
     grad[..., BASIC_INDEX] = 0.0
     return grad
 
@@ -227,8 +250,11 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """``1 / (1 + exp(-x))`` as ``exp(-log(1 + exp(-x)))``, one expression that never overflows.
+
+    Within 4e-15 relative of the exact value wherever the result is a normal float.
+    """
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def regularizer_value(mu: HPExponents) -> float:

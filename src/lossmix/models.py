@@ -112,11 +112,13 @@ class Dataset:
 def take(dataset: Dataset, idx) -> Dataset:
     """Row subset as a new Dataset (used for mini-batching).
 
-    An ``(R, B)`` index array gives one batch per run, stacked.
+    An ``(R, B)`` index array gives one batch per run, stacked. The
+    feature arrays are gathered with ``ndarray.take``, which copies the
+    same rows as ``inputs[idx]`` in a fraction of the time at batch sizes.
     """
     return Dataset(
-        inputs=dataset.inputs[idx],
-        jittered=dataset.jittered[idx],
+        inputs=dataset.inputs.take(idx, axis=0),
+        jittered=dataset.jittered.take(idx, axis=0),
         targets=dataset.targets[idx],
         noise_targets=dataset.noise_targets[idx],
         split=dataset.split,
@@ -180,7 +182,7 @@ class LinearMultiLossModel:
         p = (batch.inputs @ w)[..., 0]
         pj = (batch.jittered @ w)[..., 0]
         targets = (batch.targets, pj, batch.noise_targets)
-        terms = [((p - target) ** 2).sum(axis=-1, keepdims=True) for target in targets]
+        terms = [np.add.reduce((p - target) ** 2, axis=-1, keepdims=True) for target in targets]
         return np.concatenate(terms, axis=-1) / p.shape[-1]
 
     def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:

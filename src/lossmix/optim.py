@@ -173,7 +173,7 @@ def _joint_step(params: ParamState, hps: HPState, g, h, t: int, config: Optimize
         raise ValueError(f"parameter gradient shape {g.shape} != {params.w.shape}")
     if h.shape != hps.mu.mu.shape:
         raise ValueError(f"exponent gradient shape {h.shape} != {hps.mu.mu.shape}")
-    if h[..., BASIC_INDEX].any():
+    if np.logical_or.reduce(h[..., BASIC_INDEX], axis=None):
         raise ValueError("gradient entry for the frozen basic exponent must be 0")
     lr = schedule_multiplier(t, config) * config.effective_alpha
 

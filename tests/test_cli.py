@@ -224,6 +224,7 @@ class TestGridCommand:
         summary = json.loads((out / "grid_summary.json").read_text())
         assert summary["best_index"] is None
         assert summary["points"][0]["diverged_seeds"] == [0, 1]
+        assert all(p["mean_val"] is None and p["std_val"] is None for p in summary["points"])
         assert (out / "grid_p01_seed1" / "summary.json").exists()
 
 
@@ -255,6 +256,7 @@ class TestSeedStudyCommand:
         assert len(err) == 1 and json.loads(err[0])["error"] == "diverged"
         summary = json.loads((out / "seed_study_summary.json").read_text())
         assert summary["diverged_seeds"] == [0, 1]
+        assert summary["val_mean"] is None and summary["val_std"] is None
         run = json.loads((out / "study_seed1" / "summary.json").read_text())
         assert run["diverged"] is True and run["diverged_reason"]
 

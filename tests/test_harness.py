@@ -9,21 +9,26 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lossmix.config import ConfigError, ExperimentConfig
+from lossmix import losses
+from lossmix.config import ConfigError, ExperimentConfig, with_epsilon
 from lossmix.harness import (
     GridPointResult,
+    GridSearchResult,
     RunResult,
     SeedStudyReport,
     TrajectoryRecord,
     _faults,
+    _train_stack,
     export_results,
     import_results,
+    grid_summary,
     normalize_weights,
     read_rows,
     run_grid_search,
     run_init_sweep,
     run_seed_study,
     run_training,
+    seed_study_summary,
     trajectory_columns,
 )
 from lossmix.models import ToyModelSpec
@@ -99,6 +104,14 @@ class TestRunTraining:
         result = run_training(cfg, 0)
         assert not result.diverged
         assert result.final_val < 1.0
+
+    def test_weights_computed_once_per_step(self, monkeypatch):
+        calls = []
+        softmax = losses._softmax
+        monkeypatch.setattr(losses, "_softmax", lambda m: calls.append(1) or softmax(m))
+        steps = 120
+        run_training(small_config(optimizer=replace(small_config().optimizer, total_steps=steps)), 0)
+        assert len(calls) == steps + 1  # the start, then once per update
 
     def test_bitwise_reproducible(self):
         cfg = small_config()
@@ -230,6 +243,27 @@ class TestStackedEngine:
         assert grid.best_index is None and grid.best_point is None
 
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda c: replace(c, optimizer=replace(c.optimizer, hp_decay=0.0)), "optimizer.hp_decay"),
+            (lambda c: replace(c, mode="fixed", fixed_weights=(1.0, 0.5, 0.5)), "mode"),
+            (lambda c: replace(c, batch_size=4), "batch_size"),
+            (lambda c: replace(c, model=replace(c.model, harm_scale=1.0)), "model.harm_scale"),
+        ],
+        ids=["hp_decay", "mode", "batch_size", "harm_scale"],
+    )
+    def test_rows_differing_in_a_shared_setting_rejected(self, change, field):
+        cfg = small_config()
+        with pytest.raises(ConfigError, match=field):
+            _train_stack([cfg, change(cfg)], [0, 1])
+
+    def test_rows_may_differ_in_seed_weights_and_epsilon(self):
+        cfg = small_config(mode="fixed", fixed_weights=(1.0, 0.5, 0.5))
+        rows = [cfg, replace(with_epsilon(cfg, 1.0), fixed_weights=(1.0, 0.1, 2.0), seeds=(3,))]
+        assert not any(run.diverged for run in _train_stack(rows, [0, 1]))
+
+
 LOSS, STATE, RANGE = "non-finite loss", "non-finite state after update", "exponent left the representable range"
 
 
@@ -300,6 +334,38 @@ class TestSeedStudy:
             stds = [point.std_val, report.val_std]
         for std in stds:
             assert math.isclose(std, expected, rel_tol=1e-12)
+
+
+class TestStatisticsWithoutKeptRuns:
+    """A std needs a kept run: NaN (JSON null) with none, 0.0 with one."""
+
+    @staticmethod
+    def runs(*diverged):
+        return [
+            RunResult(seed, "fixed", None, np.zeros(3), np.array([[1.0, 0.5 + seed]]), bad, 1 if bad else None,
+                      "non-finite loss" if bad else None, 0.0)
+            for seed, bad in enumerate(diverged)
+        ]
+
+    def test_grid_point_with_every_run_diverged(self):
+        point = GridPointResult((1.0, 1.0, 1.0), np.full(3, 1 / 3), self.runs(True, True, True))
+        assert math.isnan(point.std_val) and point.mean_val == math.inf
+        summary = grid_summary(GridSearchResult(points=[point], seeds=(0, 1, 2)))
+        row = json.loads(json.dumps(summary))["points"][0]
+        assert row["mean_val"] is None and row["std_val"] is None and row["diverged_seeds"] == [0, 1, 2]
+
+    def test_seed_study_with_every_run_diverged(self):
+        runs = self.runs(True, True)
+        report = SeedStudyReport((0, 1), runs, np.zeros((0, 3)), np.array([]), *[np.full(3, np.nan)] * 3)
+        assert math.isnan(report.val_std) and math.isnan(report.val_mean)
+        summary = json.loads(json.dumps(seed_study_summary(report)))
+        assert summary["val_mean"] is None and summary["val_std"] is None
+
+    def test_one_kept_run_has_zero_std(self):
+        runs = self.runs(True, False)
+        point = GridPointResult((1.0, 1.0, 1.0), np.full(3, 1 / 3), runs)
+        report = SeedStudyReport((0, 1), runs, np.zeros((1, 3)), np.array([1.5]), *[np.zeros(3)] * 3)
+        assert point.std_val == 0.0 and report.val_std == 0.0
 
 
 class TestInitSweep:

@@ -6,6 +6,8 @@ import pytest
 from lossmix.gradcheck import central_fd
 from lossmix.losses import (
     HPExponents,
+    _sigmoid,
+    _trusted,
     LossVector,
     LossWeights,
     composite_loss,
@@ -108,6 +110,31 @@ class TestSoftmaxWeights:
             z = np.concatenate(([0.0], aux)) + shift
             e = np.exp(z - z.max())
             np.testing.assert_allclose(base, e / e.sum(), atol=1e-12)
+
+    def test_weights_computed_once_per_exponents(self):
+        mu = HPExponents([0.0, 0.3, -1.2])
+        assert softmax_weights(mu) is softmax_weights(mu)
+        assert softmax_weights(mu) is mu.weights
+
+    def test_cached_weights_are_read_only(self):
+        lam = softmax_weights(HPExponents([0.0, 0.3, -1.2])).lam
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError):
+            lam[1] = 0.5
+
+    def test_trusted_exponents_cache_too(self):
+        mu = _trusted(HPExponents, mu=np.array([[0.0, 0.3], [0.0, -2.0]]))
+        first = softmax_weights(mu)
+        assert softmax_weights(mu) is first
+        np.testing.assert_array_equal(first.lam, softmax_weights(HPExponents(mu.mu)).lam)
+
+    def test_trusted_exponents_freeze_on_first_weights(self):
+        m = np.array([0.0, 0.3, -1.2])
+        mu = _trusted(HPExponents, mu=m)
+        softmax_weights(mu)
+        with pytest.raises(ValueError):
+            m[1] = 5.0  # would leave the kept weights stale
+        np.testing.assert_array_equal(m, [0.0, 0.3, -1.2])
 
 
 class TestCompositeLoss:
@@ -232,3 +259,19 @@ class TestRegularizerGradient:
             fd = central_fd(value, aux, 1e-6)
             scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-8)
             assert np.max(np.abs(analytic - fd)) / scale < 1e-6
+
+
+class TestSigmoid:
+    def test_matches_long_double_reference(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200_001), [-745.0, -708.4, -1e-300, 0.0, 1e-300, 36.7]])
+        got = _sigmoid(x)
+        xl = x.astype(np.longdouble)
+        exact = 1 / (1 + np.exp(-xl))
+        normal = exact >= np.finfo(np.float64).tiny
+        assert normal.sum() > 100_000
+        rel = np.abs((got[normal] - exact[normal]) / exact[normal])
+        assert float(rel.max()) <= 1e-14
+
+    def test_saturates_without_overflow(self):
+        with np.errstate(over="raise", under="ignore"):
+            np.testing.assert_array_equal(_sigmoid(np.array([-1e4, 0.0, 1e4])), [0.0, 0.5, 1.0])

@@ -220,3 +220,63 @@ class TestBatchSampler:
         sub = take(train, np.array([1, 3]))
         assert len(sub) == 2
         np.testing.assert_array_equal(sub.inputs, train.inputs[[1, 3]])
+
+
+def reference_batches(dataset, batch_size, rngs, stacked, steps, keep_at=None, keep=None):
+    """Batches as gathered one at a time from each epoch's permutation, with ``keep`` applied before step ``keep_at``."""
+    order = np.empty((len(rngs), 0), dtype=np.intp)
+    cursor = 0
+    out = []
+    for step in range(steps):
+        if step == keep_at:
+            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+            order = order[keep]
+        if cursor >= order.shape[1]:
+            order = np.stack([rng.permutation(len(dataset)) for rng in rngs])
+            cursor = 0
+        idx = order[:, cursor : cursor + batch_size]
+        cursor += batch_size
+        out.append(take(dataset, idx if stacked else idx[0]))
+    return out
+
+
+class TestBatchSamplerDraws:
+    """Batches and generator draws equal a per-batch gather of each epoch's permutation, bitwise."""
+
+    @pytest.mark.parametrize("batch_size", [8, 5], ids=["divides", "ragged"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    def test_batches_match_reference(self, batch_size, stacked):
+        train, _ = make_synthetic_dataset(LIN, 3, 32, 4)
+        seeds = (4, 9, 11) if stacked else (4,)
+
+        def gens():
+            rngs = [np.random.default_rng(s) for s in seeds]
+            return rngs if stacked else rngs[0]
+
+        mine, theirs = gens(), gens()
+        sampler = BatchSampler(train, batch_size, mine)
+        expected = reference_batches(train, batch_size, theirs if stacked else [theirs], stacked, 30)
+        for want in expected:
+            assert_same_batch(sampler.next_batch(), want)
+        for a, b in zip(mine if stacked else [mine], theirs if stacked else [theirs]):
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("keep_at", [3, 4, 7], ids=["mid-epoch", "epoch-end", "before-ragged"])
+    def test_keep_matches_reference(self, keep_at):
+        train, _ = make_synthetic_dataset(LIN, 3, 30, 4)  # batches of 8, 8, 8, 6
+        keep = np.array([True, False, True])
+        mine = [np.random.default_rng(s) for s in (4, 9, 11)]
+        theirs = [np.random.default_rng(s) for s in (4, 9, 11)]
+        sampler = BatchSampler(train, 8, mine)
+        expected = reference_batches(train, 8, theirs, True, 12, keep_at=keep_at, keep=keep)
+        for step, want in enumerate(expected):
+            if step == keep_at:
+                sampler.keep(keep)
+            assert_same_batch(sampler.next_batch(), want)
+
+
+def assert_same_batch(got, want):
+    for name in ("inputs", "jittered", "targets", "noise_targets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    assert (got.split, got.seed) == (want.split, want.seed)
