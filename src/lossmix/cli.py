@@ -188,9 +188,11 @@ def cmd_grid(args) -> int:
             + [f"val_seed{s}" for s in result.seeds]
             + ["mean_val", "std_val"]
         )
-        for i, p in enumerate(result.points):  # str() of a float is its repr
-            per_seed = ["" if r.diverged else r.final_val for r in p.runs]
-            writer.writerow([i, *map(float, p.raw_point), *p.lam.tolist(), *per_seed, p.mean_val, p.std_val])
+        # str() of a float is its repr; a value the JSON summary writes as null is an empty cell
+        for i, p in enumerate(result.points):
+            per_seed = [None if r.diverged else r.final_val for r in p.runs]
+            row = [i, *map(float, p.raw_point), *p.lam.tolist(), *per_seed, p.mean_val, p.std_val]
+            writer.writerow(_jsonable(row))
     print(json.dumps(summary, indent=2))
     _raise_if_diverged([run for point in result.points for run in point.runs])
     return EXIT_OK

@@ -199,12 +199,12 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
     ``(R, K+1)`` and batches ``(R, B, d)``. They may differ in seed,
     ``fixed_weights`` and ``init_epsilon``; a difference in any other
     setting is a ``ConfigError``. Each step draws a mini-batch per run,
-    evaluates the per-term losses, computes the parameter gradient under
-    the current mixture weights and, in learned mode, the exponent
-    gradient, then applies the joint optimizer update. Each run's
-    generator draws its initial parameters and then one permutation per
-    epoch, as it would alone. Validation (the basic loss on the held-out
-    split) is evaluated at every recorded step.
+    evaluates the per-term losses and the parameter gradient under the
+    current mixture weights in one forward pass and, in learned mode,
+    the exponent gradient, then applies the joint optimizer update.
+    Each run's generator draws its initial parameters and then one
+    permutation per epoch, as it would alone. Validation (only the basic
+    loss, on the held-out split) is evaluated at every recorded step.
 
     A run whose losses or new state are unusable at step t diverges at
     t: it leaves the stack with its partial trajectory and reason, and
@@ -239,8 +239,7 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
     with np.errstate(all="ignore"):  # a diverging run overflows; the checks below catch it
         for t in range(1, ocfg.total_steps + 1):
             batch = sampler.next_batch()
-            lvals = model.losses(params.w, batch)
-            g = model.param_gradient(params.w, batch, lam)
+            lvals, g = model.losses_and_gradient(params.w, batch, lam)
             if learned:
                 h = hp_gradient_empirical(hps.mu, _trusted(LossVector, values=lvals, names=names))
             params, hps = step_fn(params, hps, g, h, t, step_cfg)
@@ -260,7 +259,7 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
                 lam = softmax_weights(hps.mu).lam
 
             if t % config.record_every == 0 or t == ocfg.total_steps:
-                val_basic = model.losses(params.w, val)[:, 0]
+                val_basic = model.basic_loss(params.w, val)
                 if step_cfg.hp_decay:
                     reg = step_cfg.hp_decay * regularizer_value(hps.mu)
                 else:

@@ -21,7 +21,6 @@ weights, each gradient as ``lam * (x - <lam, x>)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -109,18 +108,24 @@ class HPExponents:
     def n_aux(self) -> int:
         return self.mu.shape[-1] - 1
 
-    @cached_property
+    @property
     def weights(self) -> "LossWeights":
         """The softmax weights of these exponents, computed on first use and kept read-only.
 
         ``mu`` is made read-only here too, so that an exponents object built
         without the constructor's copy (``_trusted``) cannot be written into
-        after its weights were kept.
+        after its weights were kept. The weights are kept in the instance
+        ``__dict__`` by hand: ``functools.cached_property`` takes a
+        class-wide lock on each object's first read on Python 3.11, and the
+        engine builds a new exponents object every learned step.
         """
-        self.mu.setflags(write=False)
-        lam = _softmax(self.mu)
-        lam.setflags(write=False)
-        return _trusted(LossWeights, lam=lam)
+        attrs = self.__dict__
+        if "_weights" not in attrs:
+            self.mu.setflags(write=False)
+            lam = _softmax(self.mu)
+            lam.setflags(write=False)
+            attrs["_weights"] = _trusted(LossWeights, lam=lam)
+        return attrs["_weights"]
 
 
 @dataclass(frozen=True)

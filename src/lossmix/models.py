@@ -15,6 +15,13 @@ Gradients are coded by hand from the closed forms (no autodiff), which
 keeps the finite-difference oracle in ``gradcheck`` an independent
 check rather than a tautology.
 
+Each model runs its forward pass once per evaluation and reads the
+per-term losses and the weighted parameter gradient off the same
+activations: ``losses_and_gradient(w, batch, lam)`` returns both, and
+``losses`` and ``param_gradient`` are its two halves. ``basic_loss``
+evaluates only the basic term (for the MLP, only the clean pass and the
+cross-entropy head), which is all that validation reads.
+
 Losses and gradients also take a stack of runs: parameters ``(R, P)``,
 weights ``(R, K+1)`` and batches ``(R, B, d)`` give one result row per
 run. A dataset without the run axis, such as the validation split, is
@@ -178,25 +185,46 @@ class LinearMultiLossModel:
         return rng.normal(0.0, 0.1, size=self.n_params)
 
     def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
-        w = w[..., None]
-        p = (batch.inputs @ w)[..., 0]
-        pj = (batch.jittered @ w)[..., 0]
-        targets = (batch.targets, pj, batch.noise_targets)
-        terms = [np.add.reduce((p - target) ** 2, axis=-1, keepdims=True) for target in targets]
-        return np.concatenate(terms, axis=-1) / p.shape[-1]
+        return self._losses(batch, *self._forward(w, batch))
 
     def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
-        x = batch.inputs
-        n = x.shape[-2]
+        return self._gradient(batch, lam, *self._forward(w, batch))
+
+    def losses_and_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray):
+        fwd = self._forward(w, batch)
+        return self._losses(batch, *fwd), self._gradient(batch, lam, *fwd)
+
+    def basic_loss(self, w: np.ndarray, data: Dataset) -> np.ndarray:
+        p = self._forward(w, data)[1]
+        return (_sum_sq(p, data.targets) / p.shape[-1])[..., 0]
+
+    @staticmethod
+    def _forward(w: np.ndarray, data: Dataset):
+        """The parameters as a column and the clean predictions."""
         w = w[..., None]
-        p = (x @ w)[..., 0]
+        return w, (data.inputs @ w)[..., 0]
+
+    @staticmethod
+    def _losses(batch: Dataset, w: np.ndarray, p: np.ndarray) -> np.ndarray:
+        pj = (batch.jittered @ w)[..., 0]
+        terms = [_sum_sq(p, target) for target in (batch.targets, pj, batch.noise_targets)]
+        return np.concatenate(terms, axis=-1) / p.shape[-1]
+
+    @staticmethod
+    def _gradient(batch: Dataset, lam: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
+        x = batch.inputs
         diff = x - batch.jittered
         lam = lam[..., None]
         # the basic and harmful terms share the factor x^T, so their residuals are summed first
         resid = lam[..., 0, :] * (p - batch.targets) + lam[..., 2, :] * (p - batch.noise_targets)
         g0_g2 = (resid[..., None, :] @ x)[..., 0, :]
         g1 = (diff.swapaxes(-1, -2) @ (diff @ w))[..., 0]
-        return (2.0 / n) * (g0_g2 + lam[..., 1, :] * g1)
+        return (2.0 / x.shape[-2]) * (g0_g2 + lam[..., 1, :] * g1)
+
+
+def _sum_sq(p: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Sum of squared differences over the sample axis, kept as a length-1 axis."""
+    return np.add.reduce((p - target) ** 2, axis=-1, keepdims=True)
 
 
 class ConsistencyMLPModel:
@@ -242,38 +270,62 @@ class ConsistencyMLPModel:
         u = rng.normal(0.0, 1.0 / np.sqrt(hd), size=hd)
         return np.concatenate([w1.ravel(), np.zeros(hd), w2.ravel(), np.zeros(2), u, [0.0]])
 
+    def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
+        return self._losses(batch, self._forward(w, batch))
+
+    def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
+        return self._gradient(batch, lam, self._forward(w, batch))
+
+    def losses_and_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray):
+        fwd = self._forward(w, batch)
+        return self._losses(batch, fwd), self._gradient(batch, lam, fwd)
+
+    def basic_loss(self, w: np.ndarray, data: Dataset) -> np.ndarray:
+        _, _, zs, _, ez_sum = self._clean(w, data.inputs)
+        return _cross_entropy(zs, ez_sum, data.targets)[..., 0]
+
     def _hidden(self, w1, b1, x):
         return np.tanh(x @ w1 + b1[..., None, :])
 
-    def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
-        w1, b1, w2, b2, u, c = self._unpack(w)
-        a1 = self._hidden(w1, b1, batch.inputs)
-        a1j = self._hidden(w1, b1, batch.jittered)
-        logits = a1 @ w2 + b2[..., None, :]
-        zs = logits - logits.max(axis=-1, keepdims=True)
-        logz = np.log(np.exp(zs).sum(axis=-1))
-        picked = np.where(batch.targets == 1.0, zs[..., 1], zs[..., 0])  # the true class's logit
-        l0 = np.mean(logz - picked, axis=-1, keepdims=True)
-        l1 = np.mean((a1 - a1j) ** 2, axis=(-2, -1))[..., None]
-        pred = (a1 @ u[..., None])[..., 0] + c[..., None]
-        l2 = np.mean((pred - batch.noise_targets) ** 2, axis=-1, keepdims=True)
-        return np.concatenate([l0, l1, l2], axis=-1)
+    def _clean(self, w: np.ndarray, x: np.ndarray):
+        """The clean pass up to the cross-entropy head.
 
-    def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2, u, c = self._unpack(w)
-        x, xj = batch.inputs, batch.jittered
-        n = x.shape[-2]
-        runs = w.shape[:-1]
-        lam = lam[..., None, None]
+        Returns the unpacked parameters, the hidden activations, the
+        max-shifted logits, their exponentials and the exponentials' sums.
+        """
+        params = self._unpack(w)
+        w1, b1, w2, b2, _, _ = params
         a1 = self._hidden(w1, b1, x)
-        a1j = self._hidden(w1, b1, xj)
-        a1t = a1.swapaxes(-1, -2)
-
-        # cross-entropy head
         logits = a1 @ w2 + b2[..., None, :]
         zs = logits - logits.max(axis=-1, keepdims=True)
         ez = np.exp(zs)
-        probs = ez / ez.sum(axis=-1, keepdims=True)
+        return params, a1, zs, ez, ez.sum(axis=-1, keepdims=True)
+
+    def _forward(self, w: np.ndarray, batch: Dataset):
+        """Both passes and all three heads, everything the losses and the gradient read."""
+        params, a1, zs, ez, ez_sum = self._clean(w, batch.inputs)
+        w1, b1, _, _, u, c = params
+        a1j = self._hidden(w1, b1, batch.jittered)
+        pred = a1 @ u[..., None] + c[..., None, None]  # noise head, (..., n, 1)
+        return params, a1, a1j, a1 - a1j, zs, ez, ez_sum, pred
+
+    @staticmethod
+    def _losses(batch: Dataset, fwd) -> np.ndarray:
+        _, _, _, diff, zs, _, ez_sum, pred = fwd
+        l0 = _cross_entropy(zs, ez_sum, batch.targets)
+        l1 = np.mean(diff**2, axis=(-2, -1))[..., None]
+        l2 = np.mean((pred[..., 0] - batch.noise_targets) ** 2, axis=-1, keepdims=True)
+        return np.concatenate([l0, l1, l2], axis=-1)
+
+    def _gradient(self, batch: Dataset, lam: np.ndarray, fwd) -> np.ndarray:
+        (w1, _, w2, _, u, _), a1, a1j, diff, _, ez, ez_sum, pred = fwd
+        x, xj = batch.inputs, batch.jittered
+        n = x.shape[-2]
+        lam = lam[..., None, None]
+        a1t = a1.swapaxes(-1, -2)
+
+        # cross-entropy head
+        probs = ez / ez_sum
         onehot = batch.targets[..., None] == np.array([0.0, 1.0])  # labels are 0 or 1
         dlogits = lam[..., 0, :, :] * (probs - onehot) / n
         dw2 = a1t @ dlogits
@@ -281,13 +333,11 @@ class ConsistencyMLPModel:
         da1 = dlogits @ w2.swapaxes(-1, -2)
 
         # consistency head, flows through both forward passes
-        diff = a1 - a1j
         scale = 2.0 / (n * self.h)
         da1 = da1 + lam[..., 1, :, :] * scale * diff
         da1j = -lam[..., 1, :, :] * scale * diff
 
         # noise-fit regression head
-        pred = a1 @ u[..., None] + c[..., None, None]
         dpred = lam[..., 2, :, :] * (2.0 / n) * (pred - batch.noise_targets[..., None])
         du = (a1t @ dpred)[..., 0]
         dc = dpred.sum(axis=-2)
@@ -298,12 +348,23 @@ class ConsistencyMLPModel:
         dw1 = x.swapaxes(-1, -2) @ dz1 + xj.swapaxes(-1, -2) @ dz1j
         db1 = dz1.sum(axis=-2) + dz1j.sum(axis=-2)
 
-        flat = runs + (-1,)
+        flat = w1.shape[:-2] + (-1,)
         return np.concatenate([dw1.reshape(flat), db1, dw2.reshape(flat), db2, du, dc], axis=-1)
 
 
+def _cross_entropy(zs: np.ndarray, ez_sum: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Mean two-class cross-entropy over the sample axis, kept as a length-1 axis."""
+    logz = np.log(ez_sum[..., 0])
+    picked = np.where(targets == 1.0, zs[..., 1], zs[..., 0])  # the true class's logit
+    return np.mean(logz - picked, axis=-1, keepdims=True)
+
+
 class DuplicatedTermModel:
-    """Wraps a model, appending an exact copy of one auxiliary loss term."""
+    """Wraps a model, appending an exact copy of one auxiliary loss term.
+
+    The duplicate's weight is folded into the original term's weight, so
+    the base model computes the gradient as if the copy were not there.
+    """
 
     def __init__(self, base, index: int):
         if not 1 <= index < len(base.loss_names):
@@ -318,13 +379,25 @@ class DuplicatedTermModel:
         return self.base.init_params(rng)
 
     def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
-        l = self.base.losses(w, batch)
-        return np.concatenate([l, l[..., self.index, None]], axis=-1)
+        return self._append(self.base.losses(w, batch))
 
     def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
+        return self.base.param_gradient(w, batch, self._fold(lam))
+
+    def losses_and_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray):
+        l, g = self.base.losses_and_gradient(w, batch, self._fold(lam))
+        return self._append(l), g
+
+    def basic_loss(self, w: np.ndarray, data: Dataset) -> np.ndarray:
+        return self.base.basic_loss(w, data)
+
+    def _append(self, l: np.ndarray) -> np.ndarray:
+        return np.concatenate([l, l[..., self.index, None]], axis=-1)
+
+    def _fold(self, lam: np.ndarray) -> np.ndarray:
         folded = np.array(lam[..., :-1], dtype=np.float64)
         folded[..., self.index] += lam[..., -1]
-        return self.base.param_gradient(w, batch, folded)
+        return folded
 
 
 def build_model(spec: ToyModelSpec):

@@ -4,6 +4,7 @@ The CLI must stay a thin adapter: outputs produced through it are
 compared against direct library calls with the same configuration.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -225,6 +226,11 @@ class TestGridCommand:
         assert summary["best_index"] is None
         assert summary["points"][0]["diverged_seeds"] == [0, 1]
         assert all(p["mean_val"] is None and p["std_val"] is None for p in summary["points"])
+        with (out / "grid_table.csv").open(newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert len(table) == len(summary["points"])
+        for row in table:  # empty where the summary has null, like the per-seed cells
+            assert row["val_seed0"] == row["val_seed1"] == row["mean_val"] == row["std_val"] == "", row
         assert (out / "grid_p01_seed1" / "summary.json").exists()
 
 

@@ -31,7 +31,13 @@ from lossmix.harness import (
     seed_study_summary,
     trajectory_columns,
 )
-from lossmix.models import ToyModelSpec
+from lossmix.models import (
+    MLP_KIND,
+    ConsistencyMLPModel,
+    DuplicatedTermModel,
+    LinearMultiLossModel,
+    ToyModelSpec,
+)
 from lossmix.optim import OptimizerConfig
 
 
@@ -156,6 +162,52 @@ class TestRunTraining:
         for none in (run([]), run([np.inf, np.nan])):
             assert (none.best_val, none.best_val_step) == (math.inf, 0)
         assert run([]).final is None and run([]).final_val == math.inf
+
+
+def counted(monkeypatch, cls, name):
+    """The list that gets one entry per call of ``cls.name`` for the rest of the test."""
+    calls = []
+    method = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *args: calls.append(1) or method(self, *args))
+    return calls
+
+
+# a model spec, and the classes whose methods a run of it calls (the wrapper first, then its base)
+MODEL_CASES = pytest.mark.parametrize(
+    "spec, classes",
+    [
+        (small_config().model, (LinearMultiLossModel,)),
+        (ToyModelSpec(kind=MLP_KIND, n_features=4, hidden_units=5), (ConsistencyMLPModel,)),
+        (replace(small_config().model, duplicate_term=1), (DuplicatedTermModel, LinearMultiLossModel)),
+    ],
+    ids=["linear", "mlp", "linear-dup"],
+)
+
+
+class TestModelCalls:
+    """The engine evaluates the model once per step, and only the basic loss at each record step."""
+
+    STEPS = 120  # records at steps 50, 100 and 120
+
+    def config(self, spec):
+        return small_config(model=spec, optimizer=replace(small_config().optimizer, total_steps=self.STEPS))
+
+    @MODEL_CASES
+    def test_one_fused_evaluation_per_step(self, monkeypatch, spec, classes):
+        fused = [counted(monkeypatch, cls, "losses_and_gradient") for cls in classes]
+        halves = [counted(monkeypatch, cls, name) for cls in classes for name in ("losses", "param_gradient")]
+        result = run_training(self.config(spec), 0)
+        assert not result.diverged
+        assert [len(calls) for calls in fused] == [self.STEPS] * len(classes)
+        assert not any(halves)
+
+    @MODEL_CASES
+    def test_basic_loss_once_per_record_step(self, monkeypatch, spec, classes):
+        basic = counted(monkeypatch, classes[0], "basic_loss")
+        result = run_training(self.config(spec), 0)
+        assert len(basic) == len(result.rows) == 3
+        report = run_seed_study(self.config(spec), seeds=(0, 1, 2))  # one call serves the whole stack
+        assert len(basic) == 6 and all(len(r.rows) == 3 for r in report.runs)
 
 
 class TestGridSearch:

@@ -1,6 +1,7 @@
 """Tests for the synthetic models, their data, and hand-coded gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,6 +202,56 @@ class TestDuplicatedTerm:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             DuplicatedTermModel(LinearMultiLossModel(LIN), 0)
+
+
+def model_case(spec, runs, seed=21):
+    """A model with parameters, a batch, weights and a validation split for ``runs`` runs.
+
+    ``runs`` None gives one run without the run axis: 1-D parameters and weights, a plain batch.
+    """
+    model = build_model(spec)
+    pool, val = make_synthetic_dataset(spec, seed, 12, 9)
+    rng = np.random.default_rng(seed)
+    n = 1 if runs is None else runs
+    w = np.stack([model.init_params(rng) + 0.2 * rng.normal(size=model.n_params) for _ in range(n)])
+    lam = rng.dirichlet(np.ones(len(model.loss_names)), size=n)
+    idx = np.stack([rng.permutation(len(pool))[:5] for _ in range(n)])
+    if runs is None:
+        return model, w[0], take(pool, idx[0]), lam[0], val
+    return model, w, take(pool, idx), lam, val
+
+
+def assert_bitwise(got, want):
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+FUSED_SPECS = pytest.mark.parametrize(
+    "spec",
+    [LIN, MLP, replace(LIN, duplicate_term=1), replace(MLP, duplicate_term=2)],
+    ids=["linear", "mlp", "linear-dup", "mlp-dup"],
+)
+RUNS = pytest.mark.parametrize("runs", [None, 3], ids=["1d", "stacked"])
+
+
+class TestFusedEvaluation:
+    """One forward pass serves both halves, bit for bit, and validation reads only the basic term."""
+
+    @FUSED_SPECS
+    @RUNS
+    def test_losses_and_gradient_equal_the_halves(self, spec, runs):
+        model, w, batch, lam, _ = model_case(spec, runs)
+        losses, grad = model.losses_and_gradient(w, batch, lam)
+        assert_bitwise(losses, model.losses(w, batch))
+        assert_bitwise(grad, model.param_gradient(w, batch, lam))
+        assert losses.shape == np.shape(w)[:-1] + (len(model.loss_names),)
+
+    @FUSED_SPECS
+    @RUNS
+    def test_basic_loss_is_the_first_term(self, spec, runs):
+        model, w, batch, _, val = model_case(spec, runs)
+        for data in (batch, val):  # its own batch, and the split every run shares
+            assert_bitwise(model.basic_loss(w, data), model.losses(w, data)[..., 0])
+        assert model.basic_loss(w, val).shape == np.shape(w)[:-1]
 
 
 class TestBatchSampler:

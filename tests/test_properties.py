@@ -142,17 +142,45 @@ def test_stacked_loss_layer_matches_serial(runs, n_terms, data):
     assert_rows_match(regularizer_gradient(stack), [regularizer_gradient(m) for m in rows])
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from([LINEAR_KIND, MLP_KIND]), st.integers(1, 3), st.integers(0, 2**16))
-def test_stacked_models_match_serial(kind, runs, seed):
-    spec = ToyModelSpec(kind=kind, n_features=4, hidden_units=5)
+def model_case(kind, runs, seed, duplicate_term=0):
+    """A small model, a 12-row pool, a 7-row validation split, and parameters, weights and batch rows per run."""
+    spec = ToyModelSpec(kind=kind, n_features=4, hidden_units=5, duplicate_term=duplicate_term)
     model = build_model(spec)
-    pool, _ = make_synthetic_dataset(spec, seed, 12, 1)
+    pool, val = make_synthetic_dataset(spec, seed, 12, 7)
     rng = np.random.default_rng(seed)
     w = np.stack([model.init_params(rng) + 0.2 * rng.normal(size=model.n_params) for _ in range(runs)])
     lam = rng.dirichlet(np.ones(len(model.loss_names)), size=runs)
     idx = np.stack([rng.permutation(len(pool))[:5] for _ in range(runs)])
+    return model, pool, val, w, lam, idx
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([LINEAR_KIND, MLP_KIND]), st.integers(1, 3), st.integers(0, 2**16))
+def test_stacked_models_match_serial(kind, runs, seed):
+    model, pool, _, w, lam, idx = model_case(kind, runs, seed)
     batch, batches = take(pool, idx), [take(pool, i) for i in idx]
     assert_rows_match(model.losses(w, batch), [model.losses(*a) for a in zip(w, batches)])
     serial = [model.param_gradient(*a) for a in zip(w, batches, lam)]
     assert_rows_match(model.param_gradient(w, batch, lam), serial)
+
+
+def assert_bitwise(got, want):
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([LINEAR_KIND, MLP_KIND]), st.integers(0, 2), st.sampled_from([0, 1, 3]), st.integers(0, 2**16))
+def test_fused_evaluation_is_bitwise_its_halves(kind, duplicate_term, runs, seed):
+    """``losses_and_gradient`` is ``(losses, param_gradient)`` and ``basic_loss`` is column 0, bit for bit.
+
+    ``runs`` 0 is one run without the run axis.
+    """
+    model, pool, val, w, lam, idx = model_case(kind, max(runs, 1), seed, duplicate_term)
+    if runs == 0:
+        w, lam, idx = w[0], lam[0], idx[0]
+    batch = take(pool, idx)
+    losses, grad = model.losses_and_gradient(w, batch, lam)
+    assert_bitwise(losses, model.losses(w, batch))
+    assert_bitwise(grad, model.param_gradient(w, batch, lam))
+    for data in (batch, val):
+        assert_bitwise(model.basic_loss(w, data), model.losses(w, data)[..., 0])
