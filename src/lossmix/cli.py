@@ -220,6 +220,7 @@ def cmd_init_sweep(args) -> int:
     summary = init_sweep_summary(report)
     _write_json(out / "init_sweep_summary.json", summary)
     print(json.dumps(summary, indent=2))
+    _raise_if_diverged(report.runs)
     return EXIT_OK
 
 

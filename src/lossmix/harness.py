@@ -202,9 +202,10 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
     evaluates the per-term losses and the parameter gradient under the
     current mixture weights in one forward pass and, in learned mode,
     the exponent gradient, then applies the joint optimizer update.
-    Each run's generator draws its initial parameters and then one
-    permutation per epoch, as it would alone. Validation (only the basic
-    loss, on the held-out split) is evaluated at every recorded step.
+    Each run's generator draws its initial parameters and then its
+    epochs' permutations, several epochs per draw (``BatchSampler``), as
+    it would alone. Validation (only the basic loss, on the held-out
+    split) is evaluated at every recorded step.
 
     A run whose losses or new state are unusable at step t diverges at
     t: it leaves the stack with its partial trajectory and reason, and
@@ -479,6 +480,7 @@ class InitSweepReport:
     """
 
     entries: list[InitSweepEntry]
+    runs: list[RunResult]
     clusters: list[list[int]]
     representatives: list[np.ndarray]
     threshold: float
@@ -524,7 +526,7 @@ def run_init_sweep(config: ExperimentConfig, epsilons=None, seed=None) -> InitSw
             clusters.append([i])
             reps.append(entry.final_lam)
     return InitSweepReport(
-        entries=entries, clusters=clusters, representatives=reps, threshold=config.cluster_threshold
+        entries=entries, runs=results, clusters=clusters, representatives=reps, threshold=config.cluster_threshold
     )
 
 
@@ -682,7 +684,7 @@ def init_sweep_summary(report: InitSweepReport) -> dict:
                 "seed": e.seed,
                 "final_mu": e.final_mu,
                 "final_lambda": e.final_lam,
-                "final_val": e.final_val,
+                "final_val": None if e.diverged else e.final_val,
                 "diverged": e.diverged,
             }
             for e in report.entries

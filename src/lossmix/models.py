@@ -46,6 +46,7 @@ __all__ = [
     "ConsistencyMLPModel",
     "DuplicatedTermModel",
     "BatchSampler",
+    "DRAW_BLOCK",
     "take",
 ]
 
@@ -185,46 +186,41 @@ class LinearMultiLossModel:
         return rng.normal(0.0, 0.1, size=self.n_params)
 
     def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
-        return self._losses(batch, *self._forward(w, batch))
+        return self._losses(self._residuals(w, batch)[1])
 
     def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
-        return self._gradient(batch, lam, *self._forward(w, batch))
+        return self._gradient(batch, lam, *self._residuals(w, batch))
 
     def losses_and_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray):
-        fwd = self._forward(w, batch)
-        return self._losses(batch, *fwd), self._gradient(batch, lam, *fwd)
+        diff, e = self._residuals(w, batch)
+        return self._losses(e), self._gradient(batch, lam, diff, e)
 
     def basic_loss(self, w: np.ndarray, data: Dataset) -> np.ndarray:
-        p = self._forward(w, data)[1]
-        return (_sum_sq(p, data.targets) / p.shape[-1])[..., 0]
+        e0 = (data.inputs @ w[..., None])[..., 0] - data.targets
+        return np.add.reduce(e0 * e0, axis=-1) / e0.shape[-1]
 
     @staticmethod
-    def _forward(w: np.ndarray, data: Dataset):
-        """The parameters as a column and the clean predictions."""
+    def _residuals(w: np.ndarray, batch: Dataset):
+        """``x - x_jittered``, and the rows ``p - y``, ``(x - x_jittered) w`` and ``p - r`` as ``(..., 3, B)``."""
         w = w[..., None]
-        return w, (data.inputs @ w)[..., 0]
+        diff = batch.inputs - batch.jittered
+        p = (batch.inputs @ w)[..., 0]
+        rows = (p - batch.targets, (diff @ w)[..., 0], p - batch.noise_targets)
+        return diff, np.concatenate([row[..., None, :] for row in rows], axis=-2)  # np.stack, minus its overhead
 
     @staticmethod
-    def _losses(batch: Dataset, w: np.ndarray, p: np.ndarray) -> np.ndarray:
-        pj = (batch.jittered @ w)[..., 0]
-        terms = [_sum_sq(p, target) for target in (batch.targets, pj, batch.noise_targets)]
-        return np.concatenate(terms, axis=-1) / p.shape[-1]
+    def _losses(e: np.ndarray) -> np.ndarray:
+        return np.add.reduce(e * e, axis=-1) / e.shape[-1]
 
     @staticmethod
-    def _gradient(batch: Dataset, lam: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
-        x = batch.inputs
-        diff = x - batch.jittered
-        lam = lam[..., None]
-        # the basic and harmful terms share the factor x^T, so their residuals are summed first
-        resid = lam[..., 0, :] * (p - batch.targets) + lam[..., 2, :] * (p - batch.noise_targets)
-        g0_g2 = (resid[..., None, :] @ x)[..., 0, :]
-        g1 = (diff.swapaxes(-1, -2) @ (diff @ w))[..., 0]
-        return (2.0 / x.shape[-2]) * (g0_g2 + lam[..., 1, :] * g1)
+    def _gradient(batch: Dataset, lam: np.ndarray, diff: np.ndarray, e: np.ndarray) -> np.ndarray:
+        le = lam[..., None] * e
+        # the basic and harmful terms share the factor x, so their weighted residuals are summed first
+        g = (le[..., 0:1, :] + le[..., 2:3, :]) @ batch.inputs + le[..., 1:2, :] @ diff
+        return (2.0 / e.shape[-1]) * g[..., 0, :]
 
 
-def _sum_sq(p: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Sum of squared differences over the sample axis, kept as a length-1 axis."""
-    return np.add.reduce((p - target) ** 2, axis=-1, keepdims=True)
+_CLASSES = np.array([0.0, 1.0])  # the two labels, as the row that one-hot encodes a column of them
 
 
 class ConsistencyMLPModel:
@@ -297,9 +293,9 @@ class ConsistencyMLPModel:
         w1, b1, w2, b2, _, _ = params
         a1 = self._hidden(w1, b1, x)
         logits = a1 @ w2 + b2[..., None, :]
-        zs = logits - logits.max(axis=-1, keepdims=True)
+        zs = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
         ez = np.exp(zs)
-        return params, a1, zs, ez, ez.sum(axis=-1, keepdims=True)
+        return params, a1, zs, ez, np.add.reduce(ez, axis=-1, keepdims=True)
 
     def _forward(self, w: np.ndarray, batch: Dataset):
         """Both passes and all three heads, everything the losses and the gradient read."""
@@ -313,8 +309,8 @@ class ConsistencyMLPModel:
     def _losses(batch: Dataset, fwd) -> np.ndarray:
         _, _, _, diff, zs, _, ez_sum, pred = fwd
         l0 = _cross_entropy(zs, ez_sum, batch.targets)
-        l1 = np.mean(diff**2, axis=(-2, -1))[..., None]
-        l2 = np.mean((pred[..., 0] - batch.noise_targets) ** 2, axis=-1, keepdims=True)
+        l1 = np.add.reduce(diff**2, axis=(-2, -1))[..., None] / (diff.shape[-2] * diff.shape[-1])
+        l2 = np.add.reduce((pred[..., 0] - batch.noise_targets) ** 2, axis=-1, keepdims=True) / pred.shape[-2]
         return np.concatenate([l0, l1, l2], axis=-1)
 
     def _gradient(self, batch: Dataset, lam: np.ndarray, fwd) -> np.ndarray:
@@ -326,10 +322,10 @@ class ConsistencyMLPModel:
 
         # cross-entropy head
         probs = ez / ez_sum
-        onehot = batch.targets[..., None] == np.array([0.0, 1.0])  # labels are 0 or 1
+        onehot = batch.targets[..., None] == _CLASSES
         dlogits = lam[..., 0, :, :] * (probs - onehot) / n
         dw2 = a1t @ dlogits
-        db2 = dlogits.sum(axis=-2)
+        db2 = np.add.reduce(dlogits, axis=-2)
         da1 = dlogits @ w2.swapaxes(-1, -2)
 
         # consistency head, flows through both forward passes
@@ -340,13 +336,13 @@ class ConsistencyMLPModel:
         # noise-fit regression head
         dpred = lam[..., 2, :, :] * (2.0 / n) * (pred - batch.noise_targets[..., None])
         du = (a1t @ dpred)[..., 0]
-        dc = dpred.sum(axis=-2)
+        dc = np.add.reduce(dpred, axis=-2)
         da1 = da1 + dpred * u[..., None, :]
 
         dz1 = da1 * (1.0 - a1 * a1)
         dz1j = da1j * (1.0 - a1j * a1j)
         dw1 = x.swapaxes(-1, -2) @ dz1 + xj.swapaxes(-1, -2) @ dz1j
-        db1 = dz1.sum(axis=-2) + dz1j.sum(axis=-2)
+        db1 = np.add.reduce(dz1, axis=-2) + np.add.reduce(dz1j, axis=-2)
 
         flat = w1.shape[:-2] + (-1,)
         return np.concatenate([dw1.reshape(flat), db1, dw2.reshape(flat), db2, du, dc], axis=-1)
@@ -356,7 +352,7 @@ def _cross_entropy(zs: np.ndarray, ez_sum: np.ndarray, targets: np.ndarray) -> n
     """Mean two-class cross-entropy over the sample axis, kept as a length-1 axis."""
     logz = np.log(ez_sum[..., 0])
     picked = np.where(targets == 1.0, zs[..., 1], zs[..., 0])  # the true class's logit
-    return np.mean(logz - picked, axis=-1, keepdims=True)
+    return np.add.reduce(logz - picked, axis=-1, keepdims=True) / picked.shape[-1]
 
 
 class DuplicatedTermModel:
@@ -407,14 +403,24 @@ def build_model(spec: ToyModelSpec):
     return model
 
 
+# the index entries per run that the sampler draws at once, rounded down to whole epochs (at least one)
+DRAW_BLOCK = 1024
+
+
 class BatchSampler:
     """Sequential mini-batches with a fresh shuffle at each epoch.
 
     ``rng`` is one generator, or a sequence of them for a stack of runs:
-    each run then shuffles with its own generator, one epoch at a time,
-    and batches gain a leading run axis. The runs share the cursor, so
-    the short last batch of an epoch (when ``batch_size`` does not divide
-    the dataset) is equally short for all of them.
+    each run then shuffles with its own generator, and batches gain a
+    leading run axis. The runs share the cursor, so the short last batch
+    of an epoch (when ``batch_size`` does not divide the dataset) is
+    equally short for all of them.
+
+    Each generator shuffles ``max(1, DRAW_BLOCK // n)`` epochs at once,
+    with one ``Generator.permuted`` call on rows of ``arange(n)``. On
+    numpy 2.4 that gives the same rows, and the same generator state, as
+    one ``permutation(n)`` call per epoch; an implementation property,
+    not a documented one, so the tests check both.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int, rng):
@@ -424,15 +430,22 @@ class BatchSampler:
         self.batch_size = min(batch_size, len(dataset))
         self._stacked = not isinstance(rng, np.random.Generator)
         self._rngs = list(rng) if self._stacked else [rng]
-        self._order = np.empty((len(self._rngs), 0), dtype=np.intp)
+        self._epochs = max(1, DRAW_BLOCK // len(dataset))  # epochs per draw
+        self._order = np.empty((len(self._rngs), 0), dtype=np.intp)  # the drawn epochs, back to back
         self._cursor = 0
 
     def next_batch(self) -> Dataset:
+        n = len(self.dataset)
         if self._cursor >= self._order.shape[1]:
-            self._order = np.stack([rng.permutation(len(self.dataset)) for rng in self._rngs])
+            block = np.empty((len(self._rngs), self._epochs, n), dtype=np.intp)
+            block[...] = np.arange(n)
+            for rng, rows in zip(self._rngs, block):
+                rng.permuted(rows, axis=1, out=rows)
+            self._order = block.reshape(len(self._rngs), -1)
             self._cursor = 0
-        idx = self._order[:, self._cursor : self._cursor + self.batch_size]
-        self._cursor += self.batch_size
+        start = self._cursor
+        self._cursor = min(start + self.batch_size, (start // n + 1) * n)  # a batch ends with its epoch
+        idx = self._order[:, start : self._cursor]
         return take(self.dataset, idx if self._stacked else idx[0])
 
     def keep(self, runs: np.ndarray) -> None:

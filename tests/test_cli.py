@@ -13,7 +13,7 @@ import pytest
 from lossmix import gradcheck
 from lossmix.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from lossmix.config import load_config
-from lossmix.harness import import_results, run_training
+from lossmix.harness import import_results, run_init_sweep, run_training
 from lossmix.models import LinearMultiLossModel
 
 CONFIG = """
@@ -284,6 +284,20 @@ class TestInitSweepCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
         assert not out.exists()
+
+    def test_diverged_exits_4_with_null_final_vals(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--override", "alpha=4.0", "--override", "record_every=5"]
+        code = main(["init-sweep", "--config", str(config_path), "--out", str(out), *argv])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "diverged"
+        summary = json.loads((out / "init_sweep_summary.json").read_text())
+        report = run_init_sweep(load_config(config_path, argv[1::2]))
+        # both runs diverge after recording a finite validation loss, which the summary does not report
+        assert all(r.diverged and np.isfinite(r.final_val) for r in report.runs)
+        assert [e["final_val"] for e in summary["entries"]] == [None, None]
+        assert summary["clusters"] == report.clusters
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 
 from lossmix.gradcheck import central_fd
 from lossmix.models import (
+    DRAW_BLOCK,
     LINEAR_KIND,
     MLP_KIND,
     BatchSampler,
@@ -291,6 +292,20 @@ def reference_batches(dataset, batch_size, rngs, stacked, steps, keep_at=None, k
     return out
 
 
+def finish_draw_block(rngs, n, epochs):
+    """Advance generators that drew ``epochs`` permutations of ``n`` to the end of the sampler's draw block."""
+    per_block = max(1, DRAW_BLOCK // n)
+    for rng in rngs:
+        for _ in range(-epochs % per_block):
+            rng.permutation(n)
+
+
+def stacked_gens(seeds, stacked):
+    """One generator per seed as a list, or the only one alone."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    return rngs if stacked else rngs[0]
+
+
 class TestBatchSamplerDraws:
     """Batches and generator draws equal a per-batch gather of each epoch's permutation, bitwise."""
 
@@ -309,6 +324,8 @@ class TestBatchSamplerDraws:
         expected = reference_batches(train, batch_size, theirs if stacked else [theirs], stacked, 30)
         for want in expected:
             assert_same_batch(sampler.next_batch(), want)
+        # the sampler has drawn its whole first block of epochs; the reference only the epochs it used
+        finish_draw_block(theirs if stacked else [theirs], 32, -(-30 // -(-32 // batch_size)))
         for a, b in zip(mine if stacked else [mine], theirs if stacked else [theirs]):
             assert a.bit_generator.state == b.bit_generator.state
 
@@ -324,6 +341,44 @@ class TestBatchSamplerDraws:
             if step == keep_at:
                 sampler.keep(keep)
             assert_same_batch(sampler.next_batch(), want)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    def test_batches_match_reference_across_draw_blocks(self, stacked):
+        train, _ = make_synthetic_dataset(LIN, 3, 32, 4)  # 32 epochs of 4 batches per draw block
+        seeds = (4, 9, 11) if stacked else (4,)
+        mine, theirs = stacked_gens(seeds, stacked), stacked_gens(seeds, stacked)
+        sampler = BatchSampler(train, 8, mine)
+        expected = reference_batches(train, 8, theirs if stacked else [theirs], stacked, 140)
+        for want in expected:
+            assert_same_batch(sampler.next_batch(), want)
+        finish_draw_block(theirs if stacked else [theirs], 32, 35)
+        for a, b in zip(mine if stacked else [mine], theirs if stacked else [theirs]):
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("keep_at", [127, 128, 131], ids=["block-end", "block-start", "next-block"])
+    def test_keep_across_draw_blocks(self, keep_at):
+        train, _ = make_synthetic_dataset(LIN, 3, 32, 4)  # the second draw block starts at step 128
+        keep = np.array([False, True, True])
+        mine, theirs = stacked_gens((4, 9, 11), True), stacked_gens((4, 9, 11), True)
+        sampler = BatchSampler(train, 8, mine)
+        expected = reference_batches(train, 8, theirs, True, 140, keep_at=keep_at, keep=keep)
+        for step, want in enumerate(expected):
+            if step == keep_at:
+                sampler.keep(keep)
+            assert_same_batch(sampler.next_batch(), want)
+
+    @pytest.mark.parametrize("n_train", [DRAW_BLOCK, DRAW_BLOCK + 76])
+    def test_long_epochs_draw_one_at_a_time(self, n_train):
+        train, _ = make_synthetic_dataset(LIN, 3, n_train, 4)
+        mine, theirs = stacked_gens((4, 9), True), stacked_gens((4, 9), True)
+        sampler = BatchSampler(train, 300, mine)
+        per_epoch = -(-n_train // 300)
+        for _ in range(3):
+            want = reference_batches(train, 300, theirs, True, per_epoch)
+            for expected in want:
+                assert_same_batch(sampler.next_batch(), expected)
+            for a, b in zip(mine, theirs):
+                assert a.bit_generator.state == b.bit_generator.state
 
 
 def assert_same_batch(got, want):
