@@ -4,9 +4,9 @@ Every run is a deterministic function of (config, seed): the run seed
 drives parameter initialization and batch shuffling, the data seed the
 dataset. Every driver makes one call to the same engine, which trains
 all of its runs together on a leading run axis; a single run is a stack
-of one. Fixed-weight runs skip the exponent gradient and the
-regularizer, so their weights never move; this makes a one-point grid
-bitwise identical to a fixed run.
+of one. Fixed-weight runs skip the exponent gradient, the regularizer
+and the exponents' optimizer step, so their weights never move; this
+makes a one-point grid bitwise identical to a fixed run.
 """
 
 from __future__ import annotations
@@ -196,12 +196,14 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
     """Train one run per (config, seed) pair, all of them together.
 
     The runs sit on a leading axis: parameters ``(R, P)``, exponents
-    ``(R, K+1)`` and batches ``(R, B, d)``. They may differ in seed,
+    ``(R, K+1)``, and batches gathered from the model's design of the
+    training split, built once. They may differ in seed,
     ``fixed_weights`` and ``init_epsilon``; a difference in any other
     setting is a ``ConfigError``. Each step draws a mini-batch per run,
     evaluates the per-term losses and the parameter gradient under the
     current mixture weights in one forward pass and, in learned mode,
-    the exponent gradient, then applies the joint optimizer update.
+    the exponent gradient, then applies the joint optimizer update (to
+    the parameters alone in fixed mode).
     Each run's generator draws its initial parameters and then its
     epochs' permutations, several epochs per draw (``BatchSampler``), as
     it would alone. Validation (only the basic loss, on the held-out
@@ -224,11 +226,11 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
     mu0 = np.stack([mu for mu, _ in starts])
     hps = HPState(mu=HPExponents(mu0), n=np.zeros_like(mu0), v=np.zeros_like(mu0))
     learned = config.mode == "learned"
-    step_cfg = ocfg if learned else replace(ocfg, hp_decay=0.0)  # freeze exponents entirely
+    step_cfg = ocfg if learned else replace(ocfg, hp_decay=0.0)  # a fixed run records no regularizer
     step_fn = sgdw_step if config.optimizer_kind == "sgdw" else adamw_step
-    sampler = BatchSampler(train, config.batch_size, rngs)
+    sampler = BatchSampler(model.design(train), config.batch_size, rngs)
     lam = softmax_weights(hps.mu).lam
-    h = np.zeros_like(mu0)
+    h = None  # the exponent gradient; None freezes the exponents
 
     live = np.arange(len(seeds))  # the stack's rows, as indices into ``seeds``
     n_records = -(-ocfg.total_steps // config.record_every)
@@ -255,7 +257,7 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
                 sampler.keep(keep)
                 params = replace(params, w=params.w[keep], m=params.m[keep], v=params.v[keep])
                 hps = replace(hps, mu=_trusted(HPExponents, mu=hps.mu.mu[keep]), n=hps.n[keep], v=hps.v[keep])
-                lvals, lam, h = lvals[keep], lam[keep], h[keep]
+                lvals, lam = lvals[keep], lam[keep]
             if learned:
                 lam = softmax_weights(hps.mu).lam
 

@@ -22,10 +22,18 @@ activations: ``losses_and_gradient(w, batch, lam)`` returns both, and
 evaluates only the basic term (for the MLP, only the clean pass and the
 cross-entropy head), which is all that validation reads.
 
-Losses and gradients also take a stack of runs: parameters ``(R, P)``,
-weights ``(R, K+1)`` and batches ``(R, B, d)`` give one result row per
-run. A dataset without the run axis, such as the validation split, is
-shared by every run of the stack.
+Losses and gradients also take a stack of runs: parameters ``(R, P)``
+and weights ``(R, K+1)`` give one result row per run, and the batch
+arrays gain the same leading run axis. A dataset without the run axis,
+such as the validation split, is shared by every run of the stack.
+
+``design(data)`` lays a split out as the rows ``losses_and_gradient``
+reads, once per split; ``BatchSampler`` gathers its batches from them.
+The MLP's design is its ``Dataset``. The linear model's is a
+``Design``: the three loss terms' inputs and targets stacked slot by
+slot, so one product gives every term's residuals and a second one the
+weighted gradient. ``losses``, ``param_gradient`` and ``basic_loss``
+take a ``Dataset``.
 """
 
 from __future__ import annotations
@@ -34,12 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import _trusted
+
 __all__ = [
     "LINEAR_KIND",
     "MLP_KIND",
     "MODEL_KINDS",
     "ToyModelSpec",
     "Dataset",
+    "Design",
     "make_synthetic_dataset",
     "build_model",
     "LinearMultiLossModel",
@@ -116,22 +127,67 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[-2]
 
+    def take(self, idx) -> "Dataset":
+        """Row subset as a new Dataset (used for mini-batching).
+
+        An ``(R, B)`` index array gives one batch per run, stacked. The
+        feature arrays are gathered with ``ndarray.take``, which copies the
+        same rows as ``inputs[idx]`` in a fraction of the time at batch
+        sizes. The subset of a checked split is not checked again.
+        """
+        return _trusted(
+            Dataset,
+            inputs=self.inputs.take(idx, axis=0),
+            jittered=self.jittered.take(idx, axis=0),
+            targets=self.targets[idx],
+            noise_targets=self.noise_targets[idx],
+            split=self.split,
+            seed=self.seed,
+        )
+
 
 def take(dataset: Dataset, idx) -> Dataset:
-    """Row subset as a new Dataset (used for mini-batching).
+    """``dataset.take(idx)``: the rows ``idx`` of a split, one batch per run for an ``(R, B)`` index."""
+    return dataset.take(idx)
 
-    An ``(R, B)`` index array gives one batch per run, stacked. The
-    feature arrays are gathered with ``ndarray.take``, which copies the
-    same rows as ``inputs[idx]`` in a fraction of the time at batch sizes.
+
+_SLOTS = np.arange(3)[:, None]  # the loss terms' row blocks of a Design
+
+
+@dataclass(frozen=True)
+class Design:
+    """A split of the linear task as slot-major design rows.
+
+    ``inputs`` is ``(3, n, d)``, the slots x, x - x_jittered and x, and
+    ``targets`` is ``(3, n)``, the slots y, 0 and the noise channel, so
+    that slot k of ``inputs @ w - targets`` is the residual of loss term
+    k. A batch that :meth:`take` gathers from a split has shapes
+    ``(..., 3, B, d)`` and ``(..., 3, B)``. Slot-major (rather than
+    ``(..., B, 3)``) keeps each slot's residuals a product of its own
+    ``(B, d)`` block and contiguous along the batch axis, so the basic
+    loss rounds exactly as ``basic_loss`` does on the same rows. The
+    design holds 3 n (d + 1) floats.
     """
-    return Dataset(
-        inputs=dataset.inputs.take(idx, axis=0),
-        jittered=dataset.jittered.take(idx, axis=0),
-        targets=dataset.targets[idx],
-        noise_targets=dataset.noise_targets[idx],
-        split=dataset.split,
-        seed=dataset.seed,
-    )
+
+    inputs: np.ndarray
+    targets: np.ndarray
+
+    def __len__(self) -> int:
+        return self.inputs.shape[-2]
+
+    def take(self, idx) -> "Design":
+        """The rows ``idx`` of every slot, with one gather per array; ``(R, B)`` gives one batch per run.
+
+        The flat ``(3n, d)`` and ``(3n,)`` views and the slots' row offsets
+        are kept in the instance ``__dict__`` on the first call.
+        """
+        flat = self.__dict__.get("_flat")
+        if flat is None:
+            n, d = self.inputs.shape[-2:]
+            flat = self.__dict__["_flat"] = (self.inputs.reshape(-1, d), self.targets.reshape(-1), n * _SLOTS)
+        inputs, targets, offsets = flat
+        rows = idx[..., None, :] + offsets
+        return _trusted(Design, inputs=inputs.take(rows, axis=0), targets=targets.take(rows))
 
 
 def make_synthetic_dataset(
@@ -185,38 +241,49 @@ class LinearMultiLossModel:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(0.0, 0.1, size=self.n_params)
 
+    def design(self, data: Dataset) -> Design:
+        x = data.inputs
+        return _trusted(
+            Design,
+            inputs=np.stack([x, x - data.jittered, x], axis=-3),
+            targets=np.stack([data.targets, np.zeros_like(data.targets), data.noise_targets], axis=-2),
+        )
+
     def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
-        return self._losses(self._residuals(w, batch)[1])
+        return self._losses(self._residuals(w, self.design(batch)))
 
     def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
-        return self._gradient(batch, lam, *self._residuals(w, batch))
+        rows = self.design(batch)
+        return self._gradient(rows, lam, self._residuals(w, rows))
 
-    def losses_and_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray):
-        diff, e = self._residuals(w, batch)
-        return self._losses(e), self._gradient(batch, lam, diff, e)
+    def losses_and_gradient(self, w: np.ndarray, rows: Design, lam: np.ndarray):
+        e = self._residuals(w, rows)
+        return self._losses(e), self._gradient(rows, lam, e)
 
     def basic_loss(self, w: np.ndarray, data: Dataset) -> np.ndarray:
         e0 = (data.inputs @ w[..., None])[..., 0] - data.targets
         return np.add.reduce(e0 * e0, axis=-1) / e0.shape[-1]
 
     @staticmethod
-    def _residuals(w: np.ndarray, batch: Dataset):
-        """``x - x_jittered``, and the rows ``p - y``, ``(x - x_jittered) w`` and ``p - r`` as ``(..., 3, B)``."""
-        w = w[..., None]
-        diff = batch.inputs - batch.jittered
-        p = (batch.inputs @ w)[..., 0]
-        rows = (p - batch.targets, (diff @ w)[..., 0], p - batch.noise_targets)
-        return diff, np.concatenate([row[..., None, :] for row in rows], axis=-2)  # np.stack, minus its overhead
+    def _residuals(w: np.ndarray, rows: Design) -> np.ndarray:
+        """The rows ``p - y``, ``(x - x_jittered) w`` and ``p - r`` as ``(..., 3, B)``.
+
+        One ``(B, d) @ (d, 1)`` product per slot, as ``basic_loss`` makes
+        one on its rows: a single ``(3B, d)`` product rounds some rows
+        differently, as BLAS blocks rows by the product's height.
+        """
+        return (rows.inputs @ w[..., None, :, None])[..., 0] - rows.targets
 
     @staticmethod
     def _losses(e: np.ndarray) -> np.ndarray:
         return np.add.reduce(e * e, axis=-1) / e.shape[-1]
 
     @staticmethod
-    def _gradient(batch: Dataset, lam: np.ndarray, diff: np.ndarray, e: np.ndarray) -> np.ndarray:
+    def _gradient(rows: Design, lam: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """``(2 / B) (lam * e) A``: one product over the 3B rows of every slot."""
         le = lam[..., None] * e
-        # the basic and harmful terms share the factor x, so their weighted residuals are summed first
-        g = (le[..., 0:1, :] + le[..., 2:3, :]) @ batch.inputs + le[..., 1:2, :] @ diff
+        a = rows.inputs
+        g = le.reshape(le.shape[:-2] + (1, -1)) @ a.reshape(a.shape[:-3] + (-1, a.shape[-1]))
         return (2.0 / e.shape[-1]) * g[..., 0, :]
 
 
@@ -265,6 +332,9 @@ class ConsistencyMLPModel:
         w2 = rng.normal(0.0, 1.0 / np.sqrt(hd), size=(hd, 2))
         u = rng.normal(0.0, 1.0 / np.sqrt(hd), size=hd)
         return np.concatenate([w1.ravel(), np.zeros(hd), w2.ravel(), np.zeros(2), u, [0.0]])
+
+    def design(self, data: Dataset) -> Dataset:
+        return data
 
     def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
         return self._losses(batch, self._forward(w, batch))
@@ -374,6 +444,9 @@ class DuplicatedTermModel:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return self.base.init_params(rng)
 
+    def design(self, data: Dataset):
+        return self.base.design(data)
+
     def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
         return self._append(self.base.losses(w, batch))
 
@@ -410,11 +483,13 @@ DRAW_BLOCK = 1024
 class BatchSampler:
     """Sequential mini-batches with a fresh shuffle at each epoch.
 
-    ``rng`` is one generator, or a sequence of them for a stack of runs:
-    each run then shuffles with its own generator, and batches gain a
-    leading run axis. The runs share the cursor, so the short last batch
-    of an epoch (when ``batch_size`` does not divide the dataset) is
-    equally short for all of them.
+    ``rows`` is a ``Dataset`` or a model's ``design`` of one; a batch is
+    its ``take`` of the batch's indices. ``rng`` is one generator, or a
+    sequence of them for a stack of runs: each run then shuffles with
+    its own generator, and batches gain a leading run axis. The runs
+    share the cursor, so the short last batch of an epoch (when
+    ``batch_size`` does not divide the dataset) is equally short for all
+    of them.
 
     Each generator shuffles ``max(1, DRAW_BLOCK // n)`` epochs at once,
     with one ``Generator.permuted`` call on rows of ``arange(n)``. On
@@ -423,19 +498,20 @@ class BatchSampler:
     not a documented one, so the tests check both.
     """
 
-    def __init__(self, dataset: Dataset, batch_size: int, rng):
+    def __init__(self, rows, batch_size: int, rng):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        self.dataset = dataset
-        self.batch_size = min(batch_size, len(dataset))
+        self.rows = rows
+        self._n = len(rows)
+        self.batch_size = min(batch_size, self._n)
         self._stacked = not isinstance(rng, np.random.Generator)
         self._rngs = list(rng) if self._stacked else [rng]
-        self._epochs = max(1, DRAW_BLOCK // len(dataset))  # epochs per draw
+        self._epochs = max(1, DRAW_BLOCK // self._n)  # epochs per draw
         self._order = np.empty((len(self._rngs), 0), dtype=np.intp)  # the drawn epochs, back to back
         self._cursor = 0
 
-    def next_batch(self) -> Dataset:
-        n = len(self.dataset)
+    def next_batch(self):
+        n = self._n
         if self._cursor >= self._order.shape[1]:
             block = np.empty((len(self._rngs), self._epochs, n), dtype=np.intp)
             block[...] = np.arange(n)
@@ -446,7 +522,7 @@ class BatchSampler:
         start = self._cursor
         self._cursor = min(start + self.batch_size, (start // n + 1) * n)  # a batch ends with its epoch
         idx = self._order[:, start : self._cursor]
-        return take(self.dataset, idx if self._stacked else idx[0])
+        return self.rows.take(idx if self._stacked else idx[0])
 
     def keep(self, runs: np.ndarray) -> None:
         """Go on with only the runs of the stack where ``runs`` is True."""

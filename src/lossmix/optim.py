@@ -12,6 +12,8 @@ Each family is one moment rule applied to both blocks. Steps are pure:
 they validate their inputs, never mutate the incoming states, and return
 fresh states without checking them (the training loop decides which runs
 diverged). They step one run or a stack of runs on a leading run axis.
+An exponent gradient of ``None`` freezes the exponents: only the
+parameter block steps, and the exponent state is returned as given.
 """
 
 from __future__ import annotations
@@ -166,27 +168,30 @@ def _adam(m, v, g, lr: float, step: int, config: OptimizerConfig):
 
 
 def _joint_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig, moments):
-    """Apply the moment rule ``moments`` to both blocks, then each block's decoupled term."""
+    """Apply the moment rule ``moments`` to both blocks, then each block's decoupled term.
+
+    ``h`` None steps the parameter block alone and returns ``hps`` as given.
+    """
     g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
     if g.shape != params.w.shape:
         raise ValueError(f"parameter gradient shape {g.shape} != {params.w.shape}")
-    if h.shape != hps.mu.mu.shape:
-        raise ValueError(f"exponent gradient shape {h.shape} != {hps.mu.mu.shape}")
-    if np.logical_or.reduce(h[..., BASIC_INDEX], axis=None):
-        raise ValueError("gradient entry for the frozen basic exponent must be 0")
+    if h is not None:
+        h = np.asarray(h, dtype=np.float64)
+        if h.shape != hps.mu.mu.shape:
+            raise ValueError(f"exponent gradient shape {h.shape} != {hps.mu.mu.shape}")
+        if np.logical_or.reduce(h[..., BASIC_INDEX], axis=None):
+            raise ValueError("gradient entry for the frozen basic exponent must be 0")
     lr = schedule_multiplier(t, config) * config.effective_alpha
 
     m, v, dw = moments(params.m, params.v, _clipped(g, config.grad_clip), lr, t, config)
+    stepped = ParamState(w=params.w - dw - lr * config.weight_decay * params.w, m=m, v=v)
+    if h is None:
+        return stepped, hps
     n, u, dmu = moments(hps.n, hps.v, _clipped(h, config.grad_clip), lr, t, config)
-    w = params.w - dw - lr * config.weight_decay * params.w
     mu = hps.mu.mu - dmu
-    if config.hp_decay > 0.0:  # off for fixed weights, which then skip the regularizer entirely
+    if config.hp_decay > 0.0:
         mu = mu - lr * config.hp_decay * regularizer_gradient(hps.mu)
-    return (
-        ParamState(w=w, m=m, v=v),
-        HPState(mu=_trusted(HPExponents, mu=mu), n=n, v=u),
-    )
+    return stepped, HPState(mu=_trusted(HPExponents, mu=mu), n=n, v=u)
 
 
 def sgdw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig) -> tuple[ParamState, HPState]:
@@ -202,7 +207,8 @@ def sgdw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerC
     i = 0) and rho = ``hp_decay``. States may carry a leading run
     axis, ``(R, P)`` and ``(R, K+1)``; every run then takes the same step.
     The new state is returned unchecked: the training loop decides which
-    runs diverged.
+    runs diverged. ``h`` None freezes the exponents: only ``w`` and its
+    moments step, and ``hps`` is returned as given.
     """
     return _joint_step(params, hps, g, h, t, config, _momentum)
 
@@ -212,6 +218,6 @@ def adamw_step(params: ParamState, hps: HPState, g, h, t: int, config: Optimizer
 
     Weight decay on ``w`` and the exponent regularizer on ``mu`` both
     enter decoupled from the adaptive part, each scaled by eta * alpha.
-    Stacked states are handled as in :func:`sgdw_step`.
+    Stacked states and ``h`` None are handled as in :func:`sgdw_step`.
     """
     return _joint_step(params, hps, g, h, t, config, _adam)

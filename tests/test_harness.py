@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lossmix import losses
+from lossmix import harness, losses
 from lossmix.config import ConfigError, ExperimentConfig, with_epsilon
 from lossmix.harness import (
     GridPointResult,
@@ -418,6 +418,30 @@ class TestStatisticsWithoutKeptRuns:
         point = GridPointResult((1.0, 1.0, 1.0), np.full(3, 1 / 3), runs)
         report = SeedStudyReport((0, 1), runs, np.zeros((1, 3)), np.array([1.5]), *[np.zeros(3)] * 3)
         assert point.std_val == 0.0 and report.val_std == 0.0
+
+
+class TestFrozenExponentSteps:
+    """Fixed stacks step the parameters alone (``h`` None); learned ones always pass an exponent gradient."""
+
+    @pytest.mark.parametrize(
+        "driver, frozen",
+        [
+            (lambda: run_training(small_config(), 0), False),
+            (lambda: run_seed_study(small_config(optimizer_kind="adamw")), False),
+            (lambda: run_init_sweep(small_config(epsilon_sweep=(0.1, 1.0))), False),
+            (lambda: run_training(small_config(mode="fixed", fixed_weights=(1.0, 0.25, 0.1)), 0), True),
+            (lambda: run_grid_search(small_config(grid_axes=((0.1, 1.0), (0.3,)))), True),
+        ],
+        ids=["train", "seed-study-adamw", "init-sweep", "fixed-train", "grid"],
+    )
+    def test_exponent_gradient_passed_per_mode(self, monkeypatch, driver, frozen):
+        passed = []
+        for name in ("sgdw_step", "adamw_step"):
+            step = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *args, step=step: passed.append(args[3]) or step(*args))
+        driver()
+        assert len(passed) == 300
+        assert all((h is None) == frozen for h in passed)
 
 
 class TestInitSweep:

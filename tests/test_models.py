@@ -1,7 +1,7 @@
 """Tests for the synthetic models, their data, and hand-coded gradients."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,8 @@ from lossmix.models import (
     LINEAR_KIND,
     MLP_KIND,
     BatchSampler,
+    Dataset,
+    Design,
     DuplicatedTermModel,
     LinearMultiLossModel,
     ToyModelSpec,
@@ -241,7 +243,7 @@ class TestFusedEvaluation:
     @RUNS
     def test_losses_and_gradient_equal_the_halves(self, spec, runs):
         model, w, batch, lam, _ = model_case(spec, runs)
-        losses, grad = model.losses_and_gradient(w, batch, lam)
+        losses, grad = model.losses_and_gradient(w, model.design(batch), lam)
         assert_bitwise(losses, model.losses(w, batch))
         assert_bitwise(grad, model.param_gradient(w, batch, lam))
         assert losses.shape == np.shape(w)[:-1] + (len(model.loss_names),)
@@ -272,6 +274,40 @@ class TestBatchSampler:
         sub = take(train, np.array([1, 3]))
         assert len(sub) == 2
         np.testing.assert_array_equal(sub.inputs, train.inputs[[1, 3]])
+
+    @pytest.mark.parametrize("idx", [[7, 1, 3], [[1, 3], [0, 9], [4, 4]]], ids=["single", "stacked"])
+    def test_take_equals_fancy_indexing(self, idx):
+        train, _ = make_synthetic_dataset(LIN, 3, 10, 4)
+        idx = np.array(idx)
+        fancy = Dataset(
+            train.inputs[idx], train.jittered[idx], train.targets[idx], train.noise_targets[idx], train.split, train.seed
+        )
+        assert_same_batch(take(train, idx), fancy)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"split": "test"},
+            {"inputs": np.zeros((0, 3)), "jittered": np.zeros((0, 3)), "targets": np.zeros(0), "noise_targets": np.zeros(0)},
+            {"jittered": np.zeros((4, 2))},
+            {"targets": np.zeros(3)},
+            {"noise_targets": np.zeros((2, 4))},
+        ],
+        ids=["split", "empty", "jittered", "targets", "noise_targets"],
+    )
+    def test_constructor_keeps_its_checks(self, change):
+        fields_ = dict(inputs=np.zeros((4, 3)), jittered=np.zeros((4, 3)), targets=np.zeros(4), noise_targets=np.zeros(4))
+        with pytest.raises(ValueError):
+            Dataset(**{**fields_, "split": "train", "seed": 0, **change})
+
+    def test_design_stacks_the_three_terms(self):
+        train, _ = make_synthetic_dataset(LIN, 3, 10, 4)
+        rows = LinearMultiLossModel(LIN).design(train)
+        assert type(rows) is Design
+        x = train.inputs
+        assert_bitwise(rows.inputs, np.stack([x, x - train.jittered, x]))
+        assert_bitwise(rows.targets, np.stack([train.targets, np.zeros(10), train.noise_targets]))
+        assert len(rows) == len(train) == 10
 
 
 def reference_batches(dataset, batch_size, rngs, stacked, steps, keep_at=None, keep=None):
@@ -306,12 +342,29 @@ def stacked_gens(seeds, stacked):
     return rngs if stacked else rngs[0]
 
 
+def laid_out(layout, data):
+    """``data`` as the sampler's rows: the split itself, or the linear model's design of it."""
+    return data if layout == "dataset" else LinearMultiLossModel(LIN).design(data)
+
+
+# (stacked, layout) of a sampler: one run or a stack, gathering from a split or from its design
+STACKS = pytest.mark.parametrize(
+    "stacked, layout",
+    [(False, "dataset"), (True, "dataset"), (False, "design"), (True, "design")],
+    ids=["single", "stacked", "single-design", "stacked-design"],
+)
+
+
 class TestBatchSamplerDraws:
-    """Batches and generator draws equal a per-batch gather of each epoch's permutation, bitwise."""
+    """Batches and generator draws equal a per-batch gather of each epoch's permutation, bitwise.
+
+    A sampler on the linear model's design of the split gathers the design
+    of the same batch.
+    """
 
     @pytest.mark.parametrize("batch_size", [8, 5], ids=["divides", "ragged"])
-    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
-    def test_batches_match_reference(self, batch_size, stacked):
+    @STACKS
+    def test_batches_match_reference(self, batch_size, stacked, layout):
         train, _ = make_synthetic_dataset(LIN, 3, 32, 4)
         seeds = (4, 9, 11) if stacked else (4,)
 
@@ -320,52 +373,60 @@ class TestBatchSamplerDraws:
             return rngs if stacked else rngs[0]
 
         mine, theirs = gens(), gens()
-        sampler = BatchSampler(train, batch_size, mine)
+        sampler = BatchSampler(laid_out(layout, train), batch_size, mine)
         expected = reference_batches(train, batch_size, theirs if stacked else [theirs], stacked, 30)
         for want in expected:
-            assert_same_batch(sampler.next_batch(), want)
+            assert_same_batch(sampler.next_batch(), laid_out(layout, want))
         # the sampler has drawn its whole first block of epochs; the reference only the epochs it used
         finish_draw_block(theirs if stacked else [theirs], 32, -(-30 // -(-32 // batch_size)))
         for a, b in zip(mine if stacked else [mine], theirs if stacked else [theirs]):
             assert a.bit_generator.state == b.bit_generator.state
 
-    @pytest.mark.parametrize("keep_at", [3, 4, 7], ids=["mid-epoch", "epoch-end", "before-ragged"])
-    def test_keep_matches_reference(self, keep_at):
+    @pytest.mark.parametrize(
+        "keep_at, layout",
+        [(3, "dataset"), (4, "dataset"), (7, "dataset"), (7, "design")],
+        ids=["mid-epoch", "epoch-end", "before-ragged", "before-ragged-design"],
+    )
+    def test_keep_matches_reference(self, keep_at, layout):
         train, _ = make_synthetic_dataset(LIN, 3, 30, 4)  # batches of 8, 8, 8, 6
         keep = np.array([True, False, True])
         mine = [np.random.default_rng(s) for s in (4, 9, 11)]
         theirs = [np.random.default_rng(s) for s in (4, 9, 11)]
-        sampler = BatchSampler(train, 8, mine)
+        sampler = BatchSampler(laid_out(layout, train), 8, mine)
         expected = reference_batches(train, 8, theirs, True, 12, keep_at=keep_at, keep=keep)
         for step, want in enumerate(expected):
             if step == keep_at:
                 sampler.keep(keep)
-            assert_same_batch(sampler.next_batch(), want)
+            assert_same_batch(sampler.next_batch(), laid_out(layout, want))
 
-    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
-    def test_batches_match_reference_across_draw_blocks(self, stacked):
+    @STACKS
+    def test_batches_match_reference_across_draw_blocks(self, stacked, layout):
         train, _ = make_synthetic_dataset(LIN, 3, 32, 4)  # 32 epochs of 4 batches per draw block
         seeds = (4, 9, 11) if stacked else (4,)
         mine, theirs = stacked_gens(seeds, stacked), stacked_gens(seeds, stacked)
-        sampler = BatchSampler(train, 8, mine)
+        sampler = BatchSampler(laid_out(layout, train), 8, mine)
         expected = reference_batches(train, 8, theirs if stacked else [theirs], stacked, 140)
         for want in expected:
-            assert_same_batch(sampler.next_batch(), want)
+            assert_same_batch(sampler.next_batch(), laid_out(layout, want))
         finish_draw_block(theirs if stacked else [theirs], 32, 35)
         for a, b in zip(mine if stacked else [mine], theirs if stacked else [theirs]):
             assert a.bit_generator.state == b.bit_generator.state
 
-    @pytest.mark.parametrize("keep_at", [127, 128, 131], ids=["block-end", "block-start", "next-block"])
-    def test_keep_across_draw_blocks(self, keep_at):
+    @pytest.mark.parametrize(
+        "keep_at, layout",
+        [(127, "dataset"), (128, "dataset"), (131, "dataset"), (128, "design")],
+        ids=["block-end", "block-start", "next-block", "block-start-design"],
+    )
+    def test_keep_across_draw_blocks(self, keep_at, layout):
         train, _ = make_synthetic_dataset(LIN, 3, 32, 4)  # the second draw block starts at step 128
         keep = np.array([False, True, True])
         mine, theirs = stacked_gens((4, 9, 11), True), stacked_gens((4, 9, 11), True)
-        sampler = BatchSampler(train, 8, mine)
+        sampler = BatchSampler(laid_out(layout, train), 8, mine)
         expected = reference_batches(train, 8, theirs, True, 140, keep_at=keep_at, keep=keep)
         for step, want in enumerate(expected):
             if step == keep_at:
                 sampler.keep(keep)
-            assert_same_batch(sampler.next_batch(), want)
+            assert_same_batch(sampler.next_batch(), laid_out(layout, want))
 
     @pytest.mark.parametrize("n_train", [DRAW_BLOCK, DRAW_BLOCK + 76])
     def test_long_epochs_draw_one_at_a_time(self, n_train):
@@ -382,7 +443,8 @@ class TestBatchSamplerDraws:
 
 
 def assert_same_batch(got, want):
-    for name in ("inputs", "jittered", "targets", "noise_targets"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape and np.array_equal(a, b), name
-    assert (got.split, got.seed) == (want.split, want.seed)
+    """Same type, and every field bitwise equal, arrays in shape too."""
+    assert type(got) is type(want)
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.shape(a) == np.shape(b) and np.array_equal(a, b), f.name

@@ -1,6 +1,7 @@
 """Tests for the joint SGDW/AdamW update rules and schedules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +195,35 @@ class TestAdamwStep:
         _, h2 = adamw_step(params, hps, [0.0], [0.0, 0.0], 1, cfg(hp_decay=1.0))
         np.testing.assert_array_equal(h2.n, [0.0, 0.0])
         assert h2.mu.mu[1] != 1.0
+
+
+class TestFrozenExponents:
+    """``h`` None steps the parameters as ``h`` = 0 without the regularizer would, and leaves the exponents alone."""
+
+    @pytest.mark.parametrize("step", [sgdw_step, adamw_step], ids=["sgdw", "adamw"])
+    @pytest.mark.parametrize("runs", [(), (3,)], ids=["single", "stacked"])
+    def test_parameters_step_and_exponents_stay(self, step, runs):
+        rng = np.random.default_rng(5)
+        params = ParamState(w=rng.normal(size=runs + (4,)), m=rng.normal(size=runs + (4,)), v=rng.random(runs + (4,)))
+        mu = np.concatenate([np.zeros(runs + (1,)), rng.normal(size=runs + (2,))], axis=-1)
+        hps = HPState(mu=HPExponents(mu), n=rng.normal(size=runs + (3,)), v=rng.random(runs + (3,)))
+        kept = (hps.mu.mu.copy(), hps.n.copy(), hps.v.copy())
+        g = rng.normal(size=runs + (4,))
+        c = cfg(hp_decay=0.5, weight_decay=0.01, grad_clip=1.0, schedule="cosine")
+
+        frozen, same = step(params, hps, g, None, 7, c)
+        moved, _ = step(params, hps, g, np.zeros(runs + (3,)), 7, replace(c, hp_decay=0.0))
+        assert same is hps
+        for got, want in zip((same.mu.mu, same.n, same.v), kept):
+            assert np.array_equal(got, want)
+        for name in ("w", "m", "v"):
+            assert np.array_equal(getattr(frozen, name), getattr(moved, name)), name
+
+    @pytest.mark.parametrize("step", [sgdw_step, adamw_step], ids=["sgdw", "adamw"])
+    def test_parameter_gradient_still_checked(self, step):
+        params, hps = fresh_states([1.0, 2.0])
+        with pytest.raises(ValueError):
+            step(params, hps, [1.0], None, 1, cfg())
 
 
 class TestDeterminism:
