@@ -159,6 +159,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.override)
     seed = args.seed if args.seed is not None else config.seeds[0]
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     out = _out_dir(args, config)
     result = run_training(config, seed)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,7 @@ parser and its default is the key's default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -67,13 +68,18 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer_kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZER_KINDS}, got {self.optimizer_kind!r}")
-        if self.mode == "fixed":
-            if not self.fixed_weights:
-                raise ConfigError("fixed mode requires fixed_weights")
-            if any(w <= 0 for w in self.fixed_weights):
-                raise ConfigError("fixed_weights must be strictly positive")
+        if self.mode == "fixed" and not self.fixed_weights:
+            raise ConfigError("fixed mode requires fixed_weights")
+        axes = [("grid_axes", axis) for axis in self.grid_axes]
+        for name, values in [("fixed_weights", self.fixed_weights), ("epsilon_sweep", self.epsilon_sweep), *axes]:
+            if not all(0.0 < v < math.inf for v in values):
+                raise ConfigError(f"{name} must be finite and strictly positive, got {values!r}")
+        if not sum(self.fixed_weights) < math.inf:
+            raise ConfigError(f"fixed_weights sum to more than the largest float: {self.fixed_weights!r}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        if min(self.seeds) < 0 or self.data_seed < 0:
+            raise ConfigError(f"seeds and data_seed must be >= 0, got {self.seeds!r} and {self.data_seed!r}")
         if self.n_train < 1 or self.n_val < 1:
             raise ConfigError("n_train and n_val must be >= 1")
         if self.batch_size < 1:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .losses import HPExponents, LossVector, composite_loss, hp_gradient_empirical
 from .losses import regularizer_gradient, regularizer_value, softmax_weights
-from .models import make_synthetic_dataset, take
+from .models import make_synthetic_dataset
 
 __all__ = [
     "GradCheckReport",
@@ -182,7 +182,7 @@ def check_model_gradients(
             lam = rng.dirichlet(np.ones(n_terms))
             lam = np.maximum(lam, 1e-9)
             lam = lam / lam.sum()
-            batch = take(pool, rng.choice(len(pool), size=batch_size, replace=False))
+            batch = pool.take(rng.choice(len(pool), size=batch_size, replace=False))
             numeric = _numeric(lambda wv: lam @ model.losses(wv, batch), w, h)
             yield model.param_gradient(w, batch, lam), numeric
 

@@ -22,16 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, with_epsilon
-from .losses import (
-    HPExponents,
-    LossVector,
-    _trusted,
-    hp_gradient_empirical,
-    regularizer_value,
-    softmax_weights,
-)
+from .losses import _regularizer_value, _softmax, _softmax_gradient
 from .models import BatchSampler, build_model, make_synthetic_dataset
-from .optim import HPState, adamw_step, init_hp_state, init_param_state, sgdw_step
+from .optim import _adam, _advance, _momentum, init_hp_state
+
+# imported only as the lookup points bench/tracing.py wraps; the engine calls the array kernels
+from .losses import hp_gradient_empirical, regularizer_value, softmax_weights
+from .optim import adamw_step, sgdw_step
 
 __all__ = [
     "TrajectoryRecord",
@@ -195,15 +192,17 @@ def _check_shared(configs: list[ExperimentConfig]) -> None:
 def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunResult]:
     """Train one run per (config, seed) pair, all of them together.
 
-    The runs sit on a leading axis: parameters ``(R, P)``, exponents
-    ``(R, K+1)``, and batches gathered from the model's design of the
-    training split, built once. They may differ in seed,
-    ``fixed_weights`` and ``init_epsilon``; a difference in any other
-    setting is a ``ConfigError``. Each step draws a mini-batch per run,
-    evaluates the per-term losses and the parameter gradient under the
-    current mixture weights in one forward pass and, in learned mode,
-    the exponent gradient, then applies the joint optimizer update (to
-    the parameters alone in fixed mode).
+    The runs sit on a leading axis, and their state is plain arrays:
+    ``w, m, v`` of shape ``(R, P)``, ``mu, n, u`` of shape ``(R, K+1)``,
+    and the weights ``lam``, computed once per exponent state. The runs
+    may differ in seed, ``fixed_weights`` and ``init_epsilon``; a
+    difference in any other setting is a ``ConfigError``. Each step
+    gathers a mini-batch per run from the model's design of the training
+    split (built once), evaluates the per-term losses and the parameter
+    gradient under ``lam`` in one forward pass and, in learned mode, the
+    exponent gradient, then applies the joint update (``optim._advance``;
+    to the parameters alone in fixed mode). The loop builds no value
+    object and re-checks no input; ``_faults`` checks each new state.
     Each run's generator draws its initial parameters and then its
     epochs' permutations, several epochs per draw (``BatchSampler``), as
     it would alone. Validation (only the basic loss, on the held-out
@@ -218,23 +217,22 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
     ocfg = config.optimizer
     model = build_model(config.model)
     train, val = make_synthetic_dataset(config.model, config.data_seed, config.n_train, config.n_val)
-    names = tuple(model.loss_names)
-    starts = [_start(c, len(names)) for c in configs]
+    n_terms = len(model.loss_names)
+    starts = [_start(c, n_terms) for c in configs]
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    params = init_param_state(np.stack([model.init_params(rng) for rng in rngs]))
+    w = np.stack([model.init_params(rng) for rng in rngs])
     mu0 = np.stack([mu for mu, _ in starts])
-    hps = HPState(mu=HPExponents(mu0), n=np.zeros_like(mu0), v=np.zeros_like(mu0))
+    state = (w, np.zeros_like(w), np.zeros_like(w), mu0, np.zeros_like(mu0), np.zeros_like(mu0))  # w, m, v, mu, n, u
     learned = config.mode == "learned"
-    step_cfg = ocfg if learned else replace(ocfg, hp_decay=0.0)  # a fixed run records no regularizer
-    step_fn = sgdw_step if config.optimizer_kind == "sgdw" else adamw_step
+    rho = ocfg.hp_decay if learned else 0.0  # a fixed run records no regularizer
+    moments = _momentum if config.optimizer_kind == "sgdw" else _adam
     sampler = BatchSampler(model.design(train), config.batch_size, rngs)
-    lam = softmax_weights(hps.mu).lam
-    h = None  # the exponent gradient; None freezes the exponents
+    lam = _softmax(mu0)
 
     live = np.arange(len(seeds))  # the stack's rows, as indices into ``seeds``
     n_records = -(-ocfg.total_steps // config.record_every)
-    traj = np.empty((len(seeds), n_records, len(trajectory_columns(len(names)))))  # (R, T, C)
+    traj = np.empty((len(seeds), n_records, len(trajectory_columns(n_terms))))  # (R, T, C)
     k = 0  # record steps so far; a run that stops keeps the first k rows of its ``traj``
     stopped: dict[int, tuple[int, str, int]] = {}  # run -> (step, reason, k)
     started = time.perf_counter()
@@ -242,12 +240,11 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
     with np.errstate(all="ignore"):  # a diverging run overflows; the checks below catch it
         for t in range(1, ocfg.total_steps + 1):
             batch = sampler.next_batch()
-            lvals, g = model.losses_and_gradient(params.w, batch, lam)
-            if learned:
-                h = hp_gradient_empirical(hps.mu, _trusted(LossVector, values=lvals, names=names))
-            params, hps = step_fn(params, hps, g, h, t, step_cfg)
+            lvals, g = model.losses_and_gradient(state[0], batch, lam)
+            h = _softmax_gradient(lam, lvals) if learned else None  # None freezes the exponents
+            state = _advance(moments, state, g, h, lam, t, ocfg)
 
-            faults = _faults(lvals, params.w, hps.mu.mu)
+            faults = _faults(lvals, state[0], state[3])
             if faults is not None:
                 keep = np.array([fault is None for fault in faults])
                 stopped.update((int(r), (t, fault, k)) for r, fault in zip(live, faults) if fault)
@@ -255,20 +252,17 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
                 if not live.size:
                     break
                 sampler.keep(keep)
-                params = replace(params, w=params.w[keep], m=params.m[keep], v=params.v[keep])
-                hps = replace(hps, mu=_trusted(HPExponents, mu=hps.mu.mu[keep]), n=hps.n[keep], v=hps.v[keep])
+                state = tuple(a[keep] for a in state)
                 lvals, lam = lvals[keep], lam[keep]
             if learned:
-                lam = softmax_weights(hps.mu).lam
+                lam = _softmax(state[3])
 
             if t % config.record_every == 0 or t == ocfg.total_steps:
-                val_basic = model.basic_loss(params.w, val)
-                if step_cfg.hp_decay:
-                    reg = step_cfg.hp_decay * regularizer_value(hps.mu)
-                else:
-                    reg = np.zeros(live.size)
+                w, mu = state[0], state[3]
+                val_basic = model.basic_loss(w, val)
+                reg = rho * _regularizer_value(lam, mu) if rho else np.zeros(live.size)
                 composite = (lam * lvals).sum(axis=-1)
-                block = (np.full(live.size, t), hps.mu.mu, lam, lvals, composite, reg, val_basic)
+                block = (np.full(live.size, t), mu, lam, lvals, composite, reg, val_basic)
                 traj[live, k] = np.column_stack(block)
                 k += 1
 
@@ -505,7 +499,7 @@ def run_init_sweep(config: ExperimentConfig, epsilons=None, seed=None) -> InitSw
     for eps, result in zip(epsilons, results):
         final = result.final
         final_mu = final.mu if final is not None else result.initial_mu
-        final_lam = final.lam if final is not None else softmax_weights(HPExponents(final_mu)).lam
+        final_lam = final.lam if final is not None else _softmax(final_mu)
         entries.append(
             InitSweepEntry(
                 epsilon=float(eps),
@@ -588,10 +582,12 @@ def read_rows(path, fmt: str | None = None) -> np.ndarray:
                 columns, *table = list(csv.reader(fh)) or [[]]
         else:
             payload = json.loads(path.read_text())
+            if not (isinstance(payload, list) and all(isinstance(rec, dict) for rec in payload)):
+                raise ValueError(f"a JSON trajectory must be a list of objects, got {payload!r:.80}")
             if not payload:
                 return np.empty((0, 0))
             columns = list(payload[0])
-            table = [[rec[c] for c in columns] for rec in payload]
+            table = [[rec.get(c) for c in columns] for rec in payload]
     except OSError as exc:
         raise OSError(f"cannot read trajectory from {path}: {exc}") from exc
     if columns != trajectory_columns((len(columns) - 4) // 3):
@@ -599,7 +595,10 @@ def read_rows(path, fmt: str | None = None) -> np.ndarray:
     for row in table:
         if len(row) != len(columns):
             raise ValueError(f"trajectory row has {len(row)} values for {len(columns)} columns")
-    return np.array([[float(v) for v in row] for row in table]).reshape(len(table), len(columns))
+    try:
+        return np.array([[float(v) for v in row] for row in table]).reshape(len(table), len(columns))
+    except TypeError as exc:  # a JSON record without a column, or a null, list or object where a number belongs
+        raise ValueError(f"missing or non-numeric trajectory value: {exc}") from exc
 
 
 def import_results(path, fmt: str | None = None) -> list[TrajectoryRecord]:

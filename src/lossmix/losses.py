@@ -10,12 +10,13 @@ frozen at zero, so only the exponents of the auxiliary terms move.
 
 All operations are pure functions of float64 vectors along the last
 axis, so a stack of runs passes exponents and losses as ``(R, K+1)``
-rows and gets one result row per run. Only ``_softmax`` exponentiates,
-subtracting the running maximum first so that large exponents cannot
-overflow, and it runs once per ``HPExponents`` object: the exponents are
-immutable, so their weights are computed on first use and kept. Both
-exponent gradients and the regularizer value are built from those
-weights, each gradient as ``lam * (x - <lam, x>)``.
+rows and gets one result row per run. The math is in array kernels that
+take the weights ``lam`` as an argument, each exponent gradient built as
+``lam * (x - <lam, x>)``. The training engine computes ``lam`` once per
+exponent state with ``_softmax``, the only place that exponentiates
+(after subtracting the running maximum, so large exponents cannot
+overflow), and calls the kernels; the public functions take the checked
+value objects and call the same kernels.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ BASIC_INDEX = 0
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    return arr
-
-
 def _as_rows(x, name: str) -> np.ndarray:
     """A vector, or a stack of them with a leading run axis."""
     arr = np.asarray(x, dtype=np.float64)
@@ -67,9 +61,10 @@ def _frozen_copy(arr: np.ndarray) -> np.ndarray:
 def _trusted(cls, **fields):
     """``cls(**fields)`` without the constructor's checks.
 
-    The validating constructors guard values that come from outside. The
-    training loop wraps values it computed itself and checks the whole
-    state once per step instead (``harness._faults``).
+    The validating constructors guard values that come from outside.
+    Values computed from checked inputs (a step's new exponents, weights
+    of checked exponents, a batch gathered from a checked split) skip
+    them; a run's state is checked once per step by ``harness._faults``.
     """
     obj = object.__new__(cls)
     vars(obj).update(fields)
@@ -100,32 +95,12 @@ class HPExponents:
 
     @classmethod
     def from_auxiliary(cls, aux) -> "HPExponents":
-        """Build from the K free auxiliary exponents, prepending the basic 0."""
-        aux = _as_vector(aux, "aux")
-        return cls(np.concatenate(([0.0], aux)))
+        """Build from a vector of the K free auxiliary exponents, prepending the basic 0."""
+        return cls(np.concatenate(([0.0], np.asarray(aux, dtype=np.float64))))
 
     @property
     def n_aux(self) -> int:
         return self.mu.shape[-1] - 1
-
-    @property
-    def weights(self) -> "LossWeights":
-        """The softmax weights of these exponents, computed on first use and kept read-only.
-
-        ``mu`` is made read-only here too, so that an exponents object built
-        without the constructor's copy (``_trusted``) cannot be written into
-        after its weights were kept. The weights are kept in the instance
-        ``__dict__`` by hand: ``functools.cached_property`` takes a
-        class-wide lock on each object's first read on Python 3.11, and the
-        engine builds a new exponents object every learned step.
-        """
-        attrs = self.__dict__
-        if "_weights" not in attrs:
-            self.mu.setflags(write=False)
-            lam = _softmax(self.mu)
-            lam.setflags(write=False)
-            attrs["_weights"] = _trusted(LossWeights, lam=lam)
-        return attrs["_weights"]
 
 
 @dataclass(frozen=True)
@@ -182,28 +157,27 @@ def softmax_weights(mu: HPExponents) -> LossWeights:
     a strictly positive vector summing to one, one per row of ``mu``. An
     exponent more than ~708 below the largest gets the smallest normal
     float as its unnormalized weight instead of underflowing to 0.
-
-    The weights are those cached on ``mu`` (``HPExponents.weights``): the
-    first call on an exponents object computes them, and every later call
-    returns the same object, whose ``lam`` is read-only.
     """
-    return mu.weights
+    return _trusted(LossWeights, lam=_softmax(mu.mu))
 
 
-def composite_loss(weights: LossWeights, losses: LossVector) -> float:
-    """Weighted sum of the loss terms: the scalar training objective."""
+def composite_loss(weights: LossWeights, losses: LossVector) -> float | np.ndarray:
+    """Weighted sum of the loss terms: the training objective, one value per row of a stack.
+
+    For a single run the result is a float (``np.float64``).
+    """
     lam, l = weights.lam, losses.values
-    if lam.size != l.size:
-        raise ValueError(f"length mismatch: {lam.size} weights vs {l.size} losses")
-    return float(lam @ l)
+    if lam.shape != l.shape:
+        raise ValueError(f"shape mismatch: {lam.shape} weights vs {l.shape} losses")
+    return np.add.reduce(lam * l, axis=-1)
 
 
-def _softmax_gradient(mu: HPExponents, x: np.ndarray) -> np.ndarray:
-    """Gradient of ``<lam, x>`` w.r.t. the exponents, for ``x`` held fixed.
+def _softmax_gradient(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of ``<lam, x>`` w.r.t. the exponents of ``lam = softmax(mu)``, for ``x`` held fixed.
 
-    With ``lam = softmax(mu)`` it is ``lam * (x - <lam, x>)``: each entry
-    is its weight times how far its term sits above the weighted level.
-    Entry 0 is set to exactly 0 because the basic exponent never moves.
+    It is ``lam * (x - <lam, x>)``: each entry is its weight times how
+    far its term sits above the weighted level. Entry 0 is set to
+    exactly 0 because the basic exponent never moves.
 
     The weighted level is subtracted twice. Once a weight nears 1, its
     own entry ``x_i - <lam, x>`` is a difference of two nearly equal
@@ -212,7 +186,6 @@ def _softmax_gradient(mu: HPExponents, x: np.ndarray) -> np.ndarray:
     removes that error, so every entry keeps the accuracy of the pairwise
     form ``lam_i * sum_j lam_j (x_i - x_j)``.
     """
-    lam = softmax_weights(mu).lam
     x = x - np.add.reduce(lam * x, axis=-1, keepdims=True)
     grad = lam * (x - np.add.reduce(lam * x, axis=-1, keepdims=True))
     grad[..., BASIC_INDEX] = 0.0
@@ -229,7 +202,7 @@ def hp_gradient_empirical(mu: HPExponents, losses: LossVector) -> np.ndarray:
     l = losses.values
     if mu.mu.shape != l.shape:
         raise ValueError(f"shape mismatch: {mu.mu.shape} exponents vs {l.shape} losses")
-    return _softmax_gradient(mu, l)
+    return _softmax_gradient(_softmax(mu.mu), l)
 
 
 def naive_exp_gradient(mu: HPExponents, losses: LossVector) -> np.ndarray:
@@ -262,6 +235,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -x))
 
 
+def _regularizer_value(lam: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """:func:`regularizer_value` of the exponents ``m``, whose weights are ``lam``."""
+    return (lam * np.log(lam)).sum(axis=-1) + _softplus(m[..., 1:]).sum(axis=-1)
+
+
 def regularizer_value(mu: HPExponents) -> float:
     """Exponent regularizer at unit strength: negated weight entropy plus softplus terms.
 
@@ -271,8 +249,14 @@ def regularizer_value(mu: HPExponents) -> float:
     far any exponent can grow. One value per row of a stack. The decay
     strength rho multiplies it at the caller.
     """
-    lam = softmax_weights(mu).lam
-    return (lam * np.log(lam)).sum(axis=-1) + _softplus(mu.mu[..., 1:]).sum(axis=-1)
+    return _regularizer_value(_softmax(mu.mu), mu.mu)
+
+
+def _regularizer_gradient(lam: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """:func:`regularizer_gradient` of the exponents ``m``, whose weights are ``lam``."""
+    grad = _softmax_gradient(lam, m)
+    grad[..., 1:] += _sigmoid(m[..., 1:])
+    return grad
 
 
 def regularizer_gradient(mu: HPExponents) -> np.ndarray:
@@ -282,7 +266,4 @@ def regularizer_gradient(mu: HPExponents) -> np.ndarray:
     plus the softplus part ``sigmoid(mu_i)``; entry 0 is exactly 0. The
     decay strength rho is applied once, by the optimizer update.
     """
-    m = mu.mu
-    grad = _softmax_gradient(mu, m)
-    grad[..., 1:] += _sigmoid(m[..., 1:])
-    return grad
+    return _regularizer_gradient(_softmax(mu.mu), mu.mu)

@@ -58,7 +58,6 @@ __all__ = [
     "DuplicatedTermModel",
     "BatchSampler",
     "DRAW_BLOCK",
-    "take",
 ]
 
 LINEAR_KIND = "multiloss_linear_regression"
@@ -146,11 +145,6 @@ class Dataset:
         )
 
 
-def take(dataset: Dataset, idx) -> Dataset:
-    """``dataset.take(idx)``: the rows ``idx`` of a split, one batch per run for an ``(R, B)`` index."""
-    return dataset.take(idx)
-
-
 _SLOTS = np.arange(3)[:, None]  # the loss terms' row blocks of a Design
 
 
@@ -187,7 +181,7 @@ class Design:
             flat = self.__dict__["_flat"] = (self.inputs.reshape(-1, d), self.targets.reshape(-1), n * _SLOTS)
         inputs, targets, offsets = flat
         rows = idx[..., None, :] + offsets
-        return _trusted(Design, inputs=inputs.take(rows, axis=0), targets=targets.take(rows))
+        return Design(inputs=inputs.take(rows, axis=0), targets=targets.take(rows))
 
 
 def make_synthetic_dataset(
@@ -243,8 +237,7 @@ class LinearMultiLossModel:
 
     def design(self, data: Dataset) -> Design:
         x = data.inputs
-        return _trusted(
-            Design,
+        return Design(
             inputs=np.stack([x, x - data.jittered, x], axis=-3),
             targets=np.stack([data.targets, np.zeros_like(data.targets), data.noise_targets], axis=-2),
         )

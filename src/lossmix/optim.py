@@ -8,10 +8,11 @@ scaled once by the decay factor ``hp_decay`` (``losses`` computes the
 regularizer and its gradient at unit strength), and index 0 (the basic
 loss) never moves because its gradient entries are identically zero.
 
-Each family is one moment rule applied to both blocks. Steps are pure:
-they validate their inputs, never mutate the incoming states, and return
-fresh states without checking them (the training loop decides which runs
-diverged). They step one run or a stack of runs on a leading run axis.
+Each family is one moment rule applied to both blocks by one array
+kernel, ``_advance``, which the training engine calls on its plain-array
+state. ``sgdw_step`` and ``adamw_step`` check their inputs once, call the
+kernel, and return fresh states without checking them (the caller judges
+divergence). Both step one run or a stack of runs on a leading run axis.
 An exponent gradient of ``None`` freezes the exponents: only the
 parameter block steps, and the exponent state is returned as given.
 """
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import BASIC_INDEX, HPExponents, _trusted, regularizer_gradient
+from .losses import BASIC_INDEX, HPExponents, _regularizer_gradient, _softmax, _trusted
+from .losses import regularizer_gradient  # imported only as the lookup point bench/tracing.py wraps
 
 __all__ = [
     "OptimizerConfig",
@@ -75,8 +77,8 @@ class OptimizerConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.hp_decay < 0.0:
             raise ValueError("hp_decay must be >= 0")
-        if not self.init_epsilon > 0.0:
-            raise ValueError(f"init_epsilon must be > 0, got {self.init_epsilon!r}")
+        if not 0.0 < self.init_epsilon < math.inf:
+            raise ValueError(f"init_epsilon must be finite and > 0, got {self.init_epsilon!r}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if self.total_steps < 1:
@@ -128,8 +130,7 @@ def init_hp_state(n_aux: int, epsilon: float) -> HPState:
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
     mu = HPExponents.from_auxiliary(np.full(n_aux, math.log(epsilon)))
-    zeros = np.zeros(n_aux + 1)
-    return HPState(mu=mu, n=zeros.copy(), v=zeros.copy())
+    return HPState(mu=mu, n=np.zeros(n_aux + 1), v=np.zeros(n_aux + 1))
 
 
 def schedule_multiplier(t: int, config: OptimizerConfig) -> float:
@@ -167,31 +168,45 @@ def _adam(m, v, g, lr: float, step: int, config: OptimizerConfig):
     return m, v, lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
 
 
-def _joint_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig, moments):
-    """Apply the moment rule ``moments`` to both blocks, then each block's decoupled term.
+def _advance(moments, state: tuple, g, h, lam, t: int, config: OptimizerConfig) -> tuple:
+    """The state ``(w, m, v, mu, n, u)`` after one step of ``moments`` on each block, unchecked.
 
-    ``h`` None steps the parameter block alone and returns ``hps`` as given.
+    ``lam`` are the weights of ``mu``, for the regularizer gradient. ``h``
+    None steps the parameter block alone and passes the exponent block on.
     """
+    w, m, v, mu, n, u = state
+    lr = schedule_multiplier(t, config) * config.effective_alpha
+    m, v, dw = moments(m, v, _clipped(g, config.grad_clip), lr, t, config)
+    w_new = w - dw
+    if config.weight_decay > 0.0:
+        w_new = w_new - lr * config.weight_decay * w
+    if h is None:
+        return w_new, m, v, mu, n, u
+    n, u, dmu = moments(n, u, _clipped(h, config.grad_clip), lr, t, config)
+    mu_new = mu - dmu
+    if config.hp_decay > 0.0:
+        mu_new = mu_new - lr * config.hp_decay * _regularizer_gradient(lam, mu)
+    return w_new, m, v, mu_new, n, u
+
+
+def _step(moments, params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig):
+    """Check one step's gradients against the states, then take it with :func:`_advance`."""
     g = np.asarray(g, dtype=np.float64)
     if g.shape != params.w.shape:
         raise ValueError(f"parameter gradient shape {g.shape} != {params.w.shape}")
+    mu = hps.mu.mu
     if h is not None:
         h = np.asarray(h, dtype=np.float64)
-        if h.shape != hps.mu.mu.shape:
-            raise ValueError(f"exponent gradient shape {h.shape} != {hps.mu.mu.shape}")
+        if h.shape != mu.shape:
+            raise ValueError(f"exponent gradient shape {h.shape} != {mu.shape}")
         if np.logical_or.reduce(h[..., BASIC_INDEX], axis=None):
             raise ValueError("gradient entry for the frozen basic exponent must be 0")
-    lr = schedule_multiplier(t, config) * config.effective_alpha
-
-    m, v, dw = moments(params.m, params.v, _clipped(g, config.grad_clip), lr, t, config)
-    stepped = ParamState(w=params.w - dw - lr * config.weight_decay * params.w, m=m, v=v)
+    state = (params.w, params.m, params.v, mu, hps.n, hps.v)
+    lam = _softmax(mu) if h is not None and config.hp_decay > 0.0 else None  # read by the regularizer only
+    w, m, v, mu, n, u = _advance(moments, state, g, h, lam, t, config)
     if h is None:
-        return stepped, hps
-    n, u, dmu = moments(hps.n, hps.v, _clipped(h, config.grad_clip), lr, t, config)
-    mu = hps.mu.mu - dmu
-    if config.hp_decay > 0.0:
-        mu = mu - lr * config.hp_decay * regularizer_gradient(hps.mu)
-    return stepped, HPState(mu=_trusted(HPExponents, mu=mu), n=n, v=u)
+        return ParamState(w=w, m=m, v=v), hps
+    return ParamState(w=w, m=m, v=v), HPState(mu=_trusted(HPExponents, mu=mu), n=n, v=u)
 
 
 def sgdw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig) -> tuple[ParamState, HPState]:
@@ -206,11 +221,11 @@ def sgdw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerC
     unit-strength regularizer gradient at the previous exponents (0 for
     i = 0) and rho = ``hp_decay``. States may carry a leading run
     axis, ``(R, P)`` and ``(R, K+1)``; every run then takes the same step.
-    The new state is returned unchecked: the training loop decides which
-    runs diverged. ``h`` None freezes the exponents: only ``w`` and its
+    The new state is returned unchecked: the caller decides which runs
+    diverged. ``h`` None freezes the exponents: only ``w`` and its
     moments step, and ``hps`` is returned as given.
     """
-    return _joint_step(params, hps, g, h, t, config, _momentum)
+    return _step(_momentum, params, hps, g, h, t, config)
 
 
 def adamw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig) -> tuple[ParamState, HPState]:
@@ -220,4 +235,4 @@ def adamw_step(params: ParamState, hps: HPState, g, h, t: int, config: Optimizer
     enter decoupled from the adaptive part, each scaled by eta * alpha.
     Stacked states and ``h`` None are handled as in :func:`sgdw_step`.
     """
-    return _joint_step(params, hps, g, h, t, config, _adam)
+    return _step(_adam, params, hps, g, h, t, config)

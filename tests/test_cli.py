@@ -144,6 +144,29 @@ class TestTrainCommand:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "io"
 
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("train", ["--override", "mode=fixed", "--override", "fixed_weights=1,nan,1"]),
+            ("train", ["--override", "mode=fixed", "--override", "fixed_weights=1,inf,1"]),
+            ("grid", ["--override", "grid_axes=0.1,nan ; 1"]),
+            ("grid", ["--override", "grid_axes=0.1 ; inf"]),
+            ("seed-study", ["--override", "seeds=0,-1"]),
+            ("train", ["--override", "data_seed=-3"]),
+            ("train", ["--seed", "-1"]),
+            ("init-sweep", ["--override", "epsilon_sweep=0.1,-1"]),
+        ],
+        ids=["fixed-nan", "fixed-inf", "grid-nan", "grid-inf", "negative-seed", "negative-data-seed",
+             "train-seed", "negative-epsilon"],
+    )
+    def test_bad_config_exits_3_with_one_json_line(self, config_path, tmp_path, capsys, command, argv):
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config_path), "--out", str(out), *argv])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not out.exists()
+
     def test_bad_override_exits_3(self, config_path, capsys):
         code = main(["train", "--config", str(config_path), "--override", "bogus=1"])
         assert code == EXIT_CONFIG
@@ -324,6 +347,16 @@ def test_out_under_a_file_fails_before_training(command, driver, config_path, tm
 
 
 class TestExportCommand:
+    @pytest.mark.parametrize("text", ['{"a": 1}', "[1, 2]", '[{"t": 1}, {"u": 2}]'], ids=["object", "numbers", "mixed"])
+    def test_malformed_json_exits_3_with_one_json_line(self, tmp_path, capsys, text):
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        code = main(["export", "--input", str(src), "--format", "csv", "--out-file", str(tmp_path / "out.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_round_trip_between_formats(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
@@ -336,6 +369,17 @@ class TestExportCommand:
         b = import_results(dst)
         assert len(a) == len(b)
         assert all(x.mu.tolist() == y.mu.tolist() for x, y in zip(a, b))
+
+    def test_null_value_exits_3_with_one_json_line(self, tmp_path, capsys):
+        from lossmix.harness import export_results
+
+        src = tmp_path / "null.json"
+        export_results(np.ones((2, 13)), "json", src)
+        src.write_text(src.read_text().replace('"L_e": 1.0', '"L_e": null', 1))
+        code = main(["export", "--input", str(src), "--format", "csv", "--out-file", str(tmp_path / "out.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         code = main(["export", "--input", str(tmp_path / "nope.csv"), "--format", "json",

@@ -89,6 +89,28 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_config({"alpha": -1.0})
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"mode": "fixed", "fixed_weights": (1.0, float("nan"), 1.0)},
+            {"fixed_weights": (1.0, float("inf"))},
+            {"fixed_weights": (1e308, 1e308)},
+            {"grid_axes": ((0.1, float("nan")), (1.0,))},
+            {"grid_axes": ((0.1,), (float("inf"),))},
+            {"grid_axes": ((0.1,), (0.0,))},
+            {"seeds": (0, -1)},
+            {"data_seed": -1},
+            {"epsilon_sweep": (0.1, -1.0)},
+            {"epsilon_sweep": (0.1, float("nan"))},
+            {"init_epsilon": float("inf")},
+        ],
+        ids=["fixed-nan", "fixed-inf", "fixed-sum-overflow", "grid-nan", "grid-inf", "grid-zero",
+             "negative-seed", "negative-data-seed", "negative-epsilon", "nan-epsilon", "inf-init-epsilon"],
+    )
+    def test_bad_value_is_config_error(self, values):
+        with pytest.raises(ConfigError):
+            build_config(values)
+
     def test_invalid_mode(self):
         with pytest.raises(ConfigError):
             build_config({"mode": "auto"})

@@ -1,15 +1,18 @@
 """Tests for the experiment harness: runs, grids, studies, export."""
 
 import csv
+import importlib.util
 import json
 import math
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lossmix import harness, losses
+import lossmix.cli
+from lossmix import harness, losses, models, optim
 from lossmix.config import ConfigError, ExperimentConfig, with_epsilon
 from lossmix.harness import (
     GridPointResult,
@@ -90,6 +93,14 @@ class TestRunTraining:
             e = np.exp(rec.mu - rec.mu.max())
             np.testing.assert_allclose(rec.lam, e / e.sum(), atol=1e-12)
 
+    def test_composite_column_is_composite_loss(self):
+        rows = run_training(small_config(), 0).rows
+        columns = trajectory_columns(3)
+        lam = rows[:, [columns.index(f"lambda_{i}") for i in range(3)]]
+        l = rows[:, [columns.index(f"l_{i}") for i in range(3)]]
+        recomputed = losses.composite_loss(losses.LossWeights(lam), losses.LossVector(l))
+        assert np.array_equal(recomputed, rows[:, columns.index("L_e")])
+
     def test_fixed_mode_weights_never_move(self):
         cfg = small_config(mode="fixed", fixed_weights=(1.0, 0.25, 0.1))
         result = run_training(cfg, 0)
@@ -113,8 +124,8 @@ class TestRunTraining:
 
     def test_weights_computed_once_per_step(self, monkeypatch):
         calls = []
-        softmax = losses._softmax
-        monkeypatch.setattr(losses, "_softmax", lambda m: calls.append(1) or softmax(m))
+        softmax = harness._softmax
+        monkeypatch.setattr(harness, "_softmax", lambda m: calls.append(1) or softmax(m))
         steps = 120
         run_training(small_config(optimizer=replace(small_config().optimizer, total_steps=steps)), 0)
         assert len(calls) == steps + 1  # the start, then once per update
@@ -436,12 +447,83 @@ class TestFrozenExponentSteps:
     )
     def test_exponent_gradient_passed_per_mode(self, monkeypatch, driver, frozen):
         passed = []
-        for name in ("sgdw_step", "adamw_step"):
-            step = getattr(harness, name)
-            monkeypatch.setattr(harness, name, lambda *args, step=step: passed.append(args[3]) or step(*args))
+        advance = harness._advance
+        monkeypatch.setattr(harness, "_advance", lambda *args: passed.append(args[3]) or advance(*args))
         driver()
         assert len(passed) == 300
         assert all((h is None) == frozen for h in passed)
+
+
+class TestArrayEngine:
+    """The engine steps plain arrays: its loop builds no value object and calls no public step or loss shell."""
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            lambda cfg: [run_training(cfg, 0)],
+            lambda cfg: run_seed_study(replace(cfg, optimizer_kind="adamw")).runs,
+            lambda cfg: [run for point in run_grid_search(replace(cfg, grid_axes=((0.1, 1.0), (0.3,)))).points
+                         for run in point.runs],
+        ],
+        ids=["train", "seed-study-adamw", "grid"],
+    )
+    def test_no_value_objects_and_no_public_functions(self, monkeypatch, driver):
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"the engine called {name}")
+
+            return call
+
+        for name in ("sgdw_step", "adamw_step", "hp_gradient_empirical", "softmax_weights", "regularizer_value"):
+            monkeypatch.setattr(harness, name, forbidden(name))
+        monkeypatch.setattr(optim, "regularizer_gradient", forbidden("regularizer_gradient"))
+        built = []  # the class name of every value object built, with or without its checks
+        wrappers = (optim.ParamState, optim.HPState, losses.HPExponents, losses.LossVector, losses.LossWeights)
+
+        def counted_init(init):
+            def call(obj, *args, **kwargs):
+                built.append(type(obj).__name__)
+                init(obj, *args, **kwargs)
+
+            return call
+
+        for cls in wrappers:
+            monkeypatch.setattr(cls, "__init__", counted_init(cls.__init__))
+        trusted = losses._trusted
+
+        def counted_trusted(cls, **fields):
+            if cls in wrappers:
+                built.append(cls.__name__)
+            return trusted(cls, **fields)
+
+        for module in (losses, optim, models, harness):
+            monkeypatch.setattr(module, "_trusted", counted_trusted, raising=False)
+
+        def objects_built(steps):
+            built.clear()
+            runs = driver(small_config(optimizer=replace(small_config().optimizer, total_steps=steps)))
+            assert runs and all(not run.diverged and run.final.t == steps for run in runs)
+            return sorted(built)
+
+        # learned starts build their exponents once, in ``optim.init_hp_state``; no step builds any
+        assert objects_built(300) == objects_built(1)
+
+
+def test_bench_lookup_points_resolve():
+    """Every function the benchmark's tracer and call counter wrap is still where they look it up.
+
+    ``bench/tracing.py`` wraps each ``(owner, attr)`` through ``vars(owner)``
+    and reports a lookup point it cannot find; ``bench/run.py`` re-imports
+    every trajectory with ``harness.import_results``.
+    """
+    spec = importlib.util.spec_from_file_location("tracing", Path(__file__).parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    triples = tracing.Tracer().replacements(lossmix) + tracing.CallCounter().replacements(lossmix)
+    assert len(triples) > 10
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in triples if vars(owner).get(attr) is None]
+    assert not missing
+    assert callable(vars(harness).get("import_results"))
 
 
 class TestInitSweep:

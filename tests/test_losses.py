@@ -7,7 +7,6 @@ from lossmix.gradcheck import central_fd
 from lossmix.losses import (
     HPExponents,
     _sigmoid,
-    _trusted,
     LossVector,
     LossWeights,
     composite_loss,
@@ -111,31 +110,6 @@ class TestSoftmaxWeights:
             e = np.exp(z - z.max())
             np.testing.assert_allclose(base, e / e.sum(), atol=1e-12)
 
-    def test_weights_computed_once_per_exponents(self):
-        mu = HPExponents([0.0, 0.3, -1.2])
-        assert softmax_weights(mu) is softmax_weights(mu)
-        assert softmax_weights(mu) is mu.weights
-
-    def test_cached_weights_are_read_only(self):
-        lam = softmax_weights(HPExponents([0.0, 0.3, -1.2])).lam
-        assert not lam.flags.writeable
-        with pytest.raises(ValueError):
-            lam[1] = 0.5
-
-    def test_trusted_exponents_cache_too(self):
-        mu = _trusted(HPExponents, mu=np.array([[0.0, 0.3], [0.0, -2.0]]))
-        first = softmax_weights(mu)
-        assert softmax_weights(mu) is first
-        np.testing.assert_array_equal(first.lam, softmax_weights(HPExponents(mu.mu)).lam)
-
-    def test_trusted_exponents_freeze_on_first_weights(self):
-        m = np.array([0.0, 0.3, -1.2])
-        mu = _trusted(HPExponents, mu=m)
-        softmax_weights(mu)
-        with pytest.raises(ValueError):
-            m[1] = 5.0  # would leave the kept weights stale
-        np.testing.assert_array_equal(m, [0.0, 0.3, -1.2])
-
 
 class TestCompositeLoss:
     def test_mean_of_two(self):
@@ -152,6 +126,18 @@ class TestCompositeLoss:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             composite_loss(LossWeights([0.5, 0.5]), LossVector([1.0, 2.0, 3.0]))
+
+    def test_one_value_per_row_of_a_stack(self):
+        lam = np.array([[0.5, 0.5], [0.25, 0.75]])
+        l = np.array([[1.0, 3.0], [4.0, 2.0]])
+        val = composite_loss(LossWeights(lam), LossVector(l))
+        rows = [composite_loss(LossWeights(a), LossVector(b)) for a, b in zip(lam, l)]
+        assert val.shape == (2,) and all(isinstance(row, float) for row in rows)
+        assert val.tolist() == rows == [2.0, 2.5]
+
+    def test_stack_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            composite_loss(LossWeights([[0.5, 0.5], [0.5, 0.5]]), LossVector([1.0, 3.0, 1.0, 3.0]))
 
 
 class TestHpGradientEmpirical:

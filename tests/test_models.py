@@ -19,7 +19,6 @@ from lossmix.models import (
     ToyModelSpec,
     build_model,
     make_synthetic_dataset,
-    take,
 )
 
 LIN = ToyModelSpec(kind=LINEAR_KIND, n_features=6, noise_std=0.3, jitter_std=0.4, harm_scale=2.0)
@@ -220,8 +219,8 @@ def model_case(spec, runs, seed=21):
     lam = rng.dirichlet(np.ones(len(model.loss_names)), size=n)
     idx = np.stack([rng.permutation(len(pool))[:5] for _ in range(n)])
     if runs is None:
-        return model, w[0], take(pool, idx[0]), lam[0], val
-    return model, w, take(pool, idx), lam, val
+        return model, w[0], pool.take(idx[0]), lam[0], val
+    return model, w, pool.take(idx), lam, val
 
 
 def assert_bitwise(got, want):
@@ -271,7 +270,7 @@ class TestBatchSampler:
 
     def test_take_subsets_rows(self):
         train, _ = make_synthetic_dataset(LIN, 3, 10, 4)
-        sub = take(train, np.array([1, 3]))
+        sub = train.take(np.array([1, 3]))
         assert len(sub) == 2
         np.testing.assert_array_equal(sub.inputs, train.inputs[[1, 3]])
 
@@ -282,7 +281,7 @@ class TestBatchSampler:
         fancy = Dataset(
             train.inputs[idx], train.jittered[idx], train.targets[idx], train.noise_targets[idx], train.split, train.seed
         )
-        assert_same_batch(take(train, idx), fancy)
+        assert_same_batch(train.take(idx), fancy)
 
     @pytest.mark.parametrize(
         "change",
@@ -324,7 +323,7 @@ def reference_batches(dataset, batch_size, rngs, stacked, steps, keep_at=None, k
             cursor = 0
         idx = order[:, cursor : cursor + batch_size]
         cursor += batch_size
-        out.append(take(dataset, idx if stacked else idx[0]))
+        out.append(dataset.take(idx if stacked else idx[0]))
     return out
 
 

@@ -6,11 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lossmix.losses import HPExponents
+from lossmix.losses import HPExponents, _softmax
 from lossmix.optim import (
     HPState,
     OptimizerConfig,
     ParamState,
+    _adam,
+    _advance,
+    _momentum,
     adamw_step,
     init_hp_state,
     init_param_state,
@@ -224,6 +227,43 @@ class TestFrozenExponents:
         params, hps = fresh_states([1.0, 2.0])
         with pytest.raises(ValueError):
             step(params, hps, [1.0], None, 1, cfg())
+
+
+class TestKernel:
+    """The public steps are the engine's array kernel ``_advance`` behind their input checks, bit for bit."""
+
+    @pytest.mark.parametrize("step, moments", [(sgdw_step, _momentum), (adamw_step, _adam)], ids=["sgdw", "adamw"])
+    @pytest.mark.parametrize("runs", [(1,), (3,)], ids=["R1", "R3"])
+    @pytest.mark.parametrize("learned", [True, False], ids=["learned", "frozen"])
+    @pytest.mark.parametrize(
+        "c",
+        [cfg(), cfg(hp_decay=0.5, weight_decay=0.01, grad_clip=1.0, schedule="cosine")],
+        ids=["plain", "decay-clip-cosine"],
+    )
+    def test_public_step_is_the_kernel(self, step, moments, runs, learned, c):
+        rng = np.random.default_rng(11)
+
+        def pinned(x):  # the basic entry 0 in front of x
+            return np.concatenate([np.zeros(runs + (1,)), x], axis=-1)
+
+        state = (
+            rng.normal(size=runs + (4,)),
+            rng.normal(size=runs + (4,)),
+            rng.random(runs + (4,)),
+            pinned(rng.normal(size=runs + (2,))),
+            pinned(rng.normal(size=runs + (2,))),
+            pinned(rng.random(runs + (2,))),
+        )
+        params = ParamState(w=state[0], m=state[1], v=state[2])
+        hps = HPState(mu=HPExponents(state[3]), n=state[4], v=state[5])
+        for t in range(1, 6):
+            g = rng.normal(size=runs + (4,))
+            h = pinned(rng.normal(size=runs + (2,))) if learned else None
+            params, hps = step(params, hps, g, h, t, c)
+            state = _advance(moments, state, g, h, _softmax(state[3]), t, c)
+            public = (params.w, params.m, params.v, hps.mu.mu, hps.n, hps.v)
+            for got, want in zip(public, state):
+                assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestDeterminism:
