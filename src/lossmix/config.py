@@ -76,6 +76,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite and strictly positive, got {values!r}")
         if not sum(self.fixed_weights) < math.inf:
             raise ConfigError(f"fixed_weights sum to more than the largest float: {self.fixed_weights!r}")
+        if not 1.0 + sum(max(axis, default=0.0) for axis in self.grid_axes) < math.inf:
+            raise ConfigError(f"the largest grid point sums to more than the largest float: {self.grid_axes!r}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
         if min(self.seeds) < 0 or self.data_seed < 0:
@@ -193,6 +195,3 @@ def load_config(path, overrides=()) -> ExperimentConfig:
     values = apply_overrides(values, overrides)
     return build_config(values)
 
-
-def with_epsilon(config: ExperimentConfig, epsilon: float) -> ExperimentConfig:
-    return replace(config, optimizer=replace(config.optimizer, init_epsilon=epsilon))

@@ -4,7 +4,9 @@ Every run is a deterministic function of (config, seed): the run seed
 drives parameter initialization and batch shuffling, the data seed the
 dataset. Every driver makes one call to the same engine, which trains
 all of its runs together on a leading run axis; a single run is a stack
-of one. Fixed-weight runs skip the exponent gradient, the regularizer
+of one. A stack is one config plus a seed and a start per run: the
+run's ``init_epsilon`` in learned mode, its raw fixed weights in fixed
+mode. Fixed-weight runs skip the exponent gradient, the regularizer
 and the exponents' optimizer step, so their weights never move; this
 makes a one-point grid bitwise identical to a fixed run.
 """
@@ -16,12 +18,12 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, with_epsilon
+from .config import ConfigError, ExperimentConfig
 from .losses import _regularizer_value, _softmax, _softmax_gradient
 from .models import BatchSampler, build_model, make_synthetic_dataset
 from .optim import _adam, _advance, _momentum, init_hp_state
@@ -146,11 +148,15 @@ def normalize_weights(raw) -> np.ndarray:
     return raw / raw.sum()
 
 
-def _start(config: ExperimentConfig, n_terms: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """A run's initial exponents, and its normalized weights when they are fixed."""
-    if config.mode == "learned":
-        return init_hp_state(n_terms - 1, config.optimizer.init_epsilon).mu.mu, None
-    lam = normalize_weights(config.fixed_weights)
+def _start(mode: str, start, n_terms: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """A run's initial exponents, and its normalized weights when they are fixed.
+
+    ``start`` is the run's ``init_epsilon`` in learned mode and its raw
+    fixed weights in fixed mode.
+    """
+    if mode == "learned":
+        return init_hp_state(n_terms - 1, start).mu.mu, None
+    lam = normalize_weights(start)
     if lam.size != n_terms:
         raise ConfigError(f"{lam.size} fixed weights for {n_terms} loss terms")
     mu0 = np.log(lam / lam[0])
@@ -158,45 +164,20 @@ def _start(config: ExperimentConfig, n_terms: int) -> tuple[np.ndarray, np.ndarr
     return mu0, lam
 
 
-# the settings the rows of one stack may differ in; every other one is read from the first row
-PER_ROW_SETTINGS = ("seeds", "fixed_weights", "optimizer.init_epsilon")
+def _own_start(config: ExperimentConfig):
+    """The start a run of ``config`` alone reads: its ``init_epsilon`` when learned, its fixed weights when fixed."""
+    return config.optimizer.init_epsilon if config.mode == "learned" else config.fixed_weights
 
 
-def _settings(config: ExperimentConfig) -> dict:
-    """Every setting of ``config`` by field name, the nested specs' as ``model.x`` and ``optimizer.x``."""
-    out = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name in ("model", "optimizer"):
-            out.update((f"{f.name}.{g.name}", getattr(value, g.name)) for g in fields(value))
-        else:
-            out[f.name] = value
-    return out
+def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
+    """Train one run of ``config`` per (seed, start) pair, all of them together.
 
-
-def _check_shared(configs: list[ExperimentConfig]) -> None:
-    """Raise ``ConfigError`` naming a setting, other than the per-row ones, on which two rows differ."""
-    first = _settings(configs[0])
-    for config in configs[1:]:
-        if config is configs[0]:
-            continue
-        for name, value in _settings(config).items():
-            # ``is`` first: a NaN setting shared by two rows is the same object but not equal to itself
-            if name not in PER_ROW_SETTINGS and not (value is first[name] or value == first[name]):
-                raise ConfigError(
-                    f"the runs of one stack may differ only in {', '.join(PER_ROW_SETTINGS)}; "
-                    f"they differ in {name} ({first[name]!r} and {value!r})"
-                )
-
-
-def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunResult]:
-    """Train one run per (config, seed) pair, all of them together.
-
-    The runs sit on a leading axis, and their state is plain arrays:
+    The runs share every setting of ``config``, so a stack cannot mix
+    settings; each run has its own seed and its own start, the value
+    :func:`_start` reads for the mode. The runs sit on a leading axis,
+    and their state is plain arrays:
     ``w, m, v`` of shape ``(R, P)``, ``mu, n, u`` of shape ``(R, K+1)``,
-    and the weights ``lam``, computed once per exponent state. The runs
-    may differ in seed, ``fixed_weights`` and ``init_epsilon``; a
-    difference in any other setting is a ``ConfigError``. Each step
+    and the weights ``lam``, computed once per exponent state. Each step
     gathers a mini-batch per run from the model's design of the training
     split (built once), evaluates the per-term losses and the parameter
     gradient under ``lam`` in one forward pass and, in learned mode, the
@@ -212,17 +193,15 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
     t: it leaves the stack with its partial trajectory and reason, and
     the other runs carry on.
     """
-    _check_shared(configs)
-    config = configs[0]
     ocfg = config.optimizer
     model = build_model(config.model)
     train, val = make_synthetic_dataset(config.model, config.data_seed, config.n_train, config.n_val)
     n_terms = len(model.loss_names)
-    starts = [_start(c, n_terms) for c in configs]
+    inits = [_start(config.mode, start, n_terms) for start in starts]
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     w = np.stack([model.init_params(rng) for rng in rngs])
-    mu0 = np.stack([mu for mu, _ in starts])
+    mu0 = np.stack([mu for mu, _ in inits])
     state = (w, np.zeros_like(w), np.zeros_like(w), mu0, np.zeros_like(mu0), np.zeros_like(mu0))  # w, m, v, mu, n, u
     learned = config.mode == "learned"
     rho = ocfg.hp_decay if learned else 0.0  # a fixed run records no regularizer
@@ -279,7 +258,7 @@ def _train_stack(configs: list[ExperimentConfig], seeds: list[int]) -> list[RunR
             diverged_reason=stopped[r][1] if r in stopped else None,
             wall_time=wall,
         )
-        for r, (seed, (_, fixed)) in enumerate(zip(seeds, starts))
+        for r, (seed, (_, fixed)) in enumerate(zip(seeds, inits))
     ]
 
 
@@ -311,7 +290,7 @@ def run_training(config: ExperimentConfig, seed: int) -> RunResult:
     Divergence flags the run and preserves the partial trajectory
     instead of raising.
     """
-    return _train_stack([config], [seed])[0]
+    return _train_stack(config, [seed], [_own_start(config)])[0]
 
 
 def _sample_std(vals: np.ndarray) -> float:
@@ -386,8 +365,9 @@ def run_grid_search(config: ExperimentConfig) -> GridSearchResult:
         raise ConfigError("grid is empty")
     seeds = tuple(config.seeds)
     runs = _train_stack(
-        [replace(config, mode="fixed", fixed_weights=raw) for raw in raws for _ in seeds],
+        replace(config, mode="fixed", fixed_weights=raws[0]),
         [seed for _ in raws for seed in seeds],
+        [raw for raw in raws for _ in seeds],
     )
     points = [
         GridPointResult(raw, normalize_weights(raw), runs[i * len(seeds) : (i + 1) * len(seeds)])
@@ -426,7 +406,7 @@ def run_seed_study(config: ExperimentConfig, seeds=None) -> SeedStudyReport:
     seeds = tuple(seeds if seeds is not None else config.seeds)
     if len(seeds) < 2:
         raise ConfigError("seed study needs at least 2 seeds")
-    runs = _train_stack([config] * len(seeds), list(seeds))
+    runs = _train_stack(config, seeds, [_own_start(config)] * len(seeds))
     kept = [r for r in runs if not r.diverged]
     n_terms = runs[0].initial_mu.size
     # kept runs share the record steps, the last of which is the final step
@@ -492,8 +472,7 @@ def run_init_sweep(config: ExperimentConfig, epsilons=None, seed=None) -> InitSw
     if len(epsilons) < 2:
         raise ConfigError("init sweep needs at least 2 epsilon values")
     seed = config.seeds[0] if seed is None else seed
-    base = replace(config, mode="learned")
-    results = _train_stack([with_epsilon(base, eps) for eps in epsilons], [seed] * len(epsilons))
+    results = _train_stack(replace(config, mode="learned"), [seed] * len(epsilons), epsilons)
 
     entries = []
     for eps, result in zip(epsilons, results):

@@ -38,6 +38,7 @@ take a ``Dataset``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,9 @@ class ToyModelSpec:
             raise ValueError("n_features must be >= 1")
         if self.hidden_units < 1:
             raise ValueError("hidden_units must be >= 1")
-        if self.noise_std < 0 or self.jitter_std < 0 or self.harm_scale < 0:
-            raise ValueError("noise_std, jitter_std and harm_scale must be >= 0")
+        scales = (self.noise_std, self.jitter_std, self.harm_scale)
+        if not all(0.0 <= v < math.inf for v in scales):  # NaN fails
+            raise ValueError(f"noise_std, jitter_std and harm_scale must be finite and >= 0, got {scales!r}")
         if self.duplicate_term not in (0, 1, 2):
             raise ValueError("duplicate_term must be 0 (off), 1 or 2")
 

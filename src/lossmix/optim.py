@@ -45,11 +45,9 @@ SCHEDULES = ("constant", "cosine", "step")
 class OptimizerConfig:
     """Shared knobs for both step families.
 
-    ``alpha`` is the base learning rate and ``lr_scale`` an extra
-    multiplier on it (useful to replicate a baseline whose un-normalized
-    weights summed to something other than one). ``hp_decay`` scales the
-    exponent regularizer; 0 turns it off. ``beta2`` and ``adam_eps``
-    only matter for the AdamW steps.
+    ``alpha`` is the base learning rate. ``hp_decay`` scales the exponent
+    regularizer; 0 turns it off. ``beta2`` and ``adam_eps`` only matter
+    for the AdamW steps.
     """
 
     alpha: float
@@ -62,36 +60,26 @@ class OptimizerConfig:
     milestones: tuple[int, ...] = ()
     step_factor: float = 0.1
     total_steps: int = 5000
-    lr_scale: float = 1.0
     grad_clip: float = 0.0
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha!r}")
+        # every check is written so that NaN fails it
+        for name in ("alpha", "init_epsilon", "step_factor", "adam_eps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        for name in ("weight_decay", "hp_decay", "grad_clip"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in [0, 1), got {self.beta1!r}")
         if not 0.0 <= self.beta2 < 1.0:
             raise ValueError(f"beta2 must be in [0, 1), got {self.beta2!r}")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.hp_decay < 0.0:
-            raise ValueError("hp_decay must be >= 0")
-        if not 0.0 < self.init_epsilon < math.inf:
-            raise ValueError(f"init_epsilon must be finite and > 0, got {self.init_epsilon!r}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
-        if not self.lr_scale > 0.0:
-            raise ValueError("lr_scale must be > 0")
-        if self.grad_clip < 0.0:
-            raise ValueError("grad_clip must be >= 0")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
-
-    @property
-    def effective_alpha(self) -> float:
-        return self.alpha * self.lr_scale
 
 
 @dataclass
@@ -127,8 +115,8 @@ def init_hp_state(n_aux: int, epsilon: float) -> HPState:
     """Uniform start: every auxiliary exponent at log(epsilon), moments zero."""
     if n_aux < 1:
         raise ValueError("need at least one auxiliary loss term")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     mu = HPExponents.from_auxiliary(np.full(n_aux, math.log(epsilon)))
     return HPState(mu=mu, n=np.zeros(n_aux + 1), v=np.zeros(n_aux + 1))
 
@@ -175,7 +163,7 @@ def _advance(moments, state: tuple, g, h, lam, t: int, config: OptimizerConfig) 
     None steps the parameter block alone and passes the exponent block on.
     """
     w, m, v, mu, n, u = state
-    lr = schedule_multiplier(t, config) * config.effective_alpha
+    lr = schedule_multiplier(t, config) * config.alpha
     m, v, dw = moments(m, v, _clipped(g, config.grad_clip), lr, t, config)
     w_new = w - dw
     if config.weight_decay > 0.0:
@@ -212,7 +200,7 @@ def _step(moments, params: ParamState, hps: HPState, g, h, t: int, config: Optim
 def sgdw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerConfig) -> tuple[ParamState, HPState]:
     """One joint SGDW-with-momentum update.
 
-    With eta the schedule multiplier and a the effective learning rate:
+    With eta the schedule multiplier and a the learning rate ``alpha``:
 
         m  <- beta1 m + eta a g          n  <- beta1 n + eta a h
         w  <- w - m - eta a wd w         mu <- mu - n - eta a rho dR(mu)

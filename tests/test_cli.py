@@ -155,9 +155,21 @@ class TestTrainCommand:
             ("train", ["--override", "data_seed=-3"]),
             ("train", ["--seed", "-1"]),
             ("init-sweep", ["--override", "epsilon_sweep=0.1,-1"]),
+            ("train", ["--override", "hp_decay=nan"]),
+            ("train", ["--override", "weight_decay=nan"]),
+            ("train", ["--override", "optimizer=adamw", "--override", "adam_eps=0"]),
+            ("train", ["--override", "adam_eps=-1"]),
+            ("train", ["--override", "schedule=step", "--override", "schedule_milestones=75",
+                       "--override", "schedule_factor=-1"]),
+            ("train", ["--override", "alpha=inf"]),
+            ("train", ["--override", "grad_clip=nan"]),
+            ("train", ["--override", "grad_clip=inf"]),
+            ("train", ["--override", "noise_std=nan"]),
         ],
         ids=["fixed-nan", "fixed-inf", "grid-nan", "grid-inf", "negative-seed", "negative-data-seed",
-             "train-seed", "negative-epsilon"],
+             "train-seed", "negative-epsilon", "nan-hp-decay", "nan-weight-decay", "zero-adam-eps",
+             "negative-adam-eps", "negative-schedule-factor", "inf-alpha", "nan-grad-clip", "inf-grad-clip",
+             "nan-noise-std"],
     )
     def test_bad_config_exits_3_with_one_json_line(self, config_path, tmp_path, capsys, command, argv):
         out = tmp_path / "out"

@@ -103,9 +103,24 @@ class TestBuild:
             {"epsilon_sweep": (0.1, -1.0)},
             {"epsilon_sweep": (0.1, float("nan"))},
             {"init_epsilon": float("inf")},
+            {"grid_axes": ((1.0, 1e308), (1e308,))},
+            {"hp_decay": float("nan")},
+            {"weight_decay": float("nan")},
+            {"adam_eps": 0.0},
+            {"adam_eps": -1.0},
+            {"schedule_factor": -1.0},
+            {"alpha": float("inf")},
+            {"grad_clip": float("nan")},
+            {"grad_clip": float("inf")},
+            {"noise_std": float("nan")},
+            {"jitter_std": float("nan")},
+            {"harm_scale": float("inf")},
         ],
         ids=["fixed-nan", "fixed-inf", "fixed-sum-overflow", "grid-nan", "grid-inf", "grid-zero",
-             "negative-seed", "negative-data-seed", "negative-epsilon", "nan-epsilon", "inf-init-epsilon"],
+             "negative-seed", "negative-data-seed", "negative-epsilon", "nan-epsilon", "inf-init-epsilon",
+             "grid-sum-overflow", "nan-hp-decay", "nan-weight-decay", "zero-adam-eps", "negative-adam-eps",
+             "negative-schedule-factor", "inf-alpha", "nan-grad-clip", "inf-grad-clip", "nan-noise-std",
+             "nan-jitter-std", "inf-harm-scale"],
     )
     def test_bad_value_is_config_error(self, values):
         with pytest.raises(ConfigError):
@@ -178,7 +193,6 @@ NON_DEFAULT = {
     "schedule_milestones": ("10, 20", (10, 20)),
     "schedule_factor": ("0.5", 0.5),
     "total_steps": ("7", 7),
-    "lr_scale": ("2", 2.0),
     "mode": ("fixed", "fixed"),
     "fixed_weights": ("1,2,3", (1.0, 2.0, 3.0)),
     "grid_axes": ("0.1,1 ; 0.5", ((0.1, 1.0), (0.5,))),

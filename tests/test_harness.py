@@ -13,7 +13,7 @@ import pytest
 
 import lossmix.cli
 from lossmix import harness, losses, models, optim
-from lossmix.config import ConfigError, ExperimentConfig, with_epsilon
+from lossmix.config import ConfigError, ExperimentConfig
 from lossmix.harness import (
     GridPointResult,
     GridSearchResult,
@@ -306,25 +306,27 @@ class TestStackedEngine:
         assert grid.best_index is None and grid.best_point is None
 
 
-    @pytest.mark.parametrize(
-        "change, field",
-        [
-            (lambda c: replace(c, optimizer=replace(c.optimizer, hp_decay=0.0)), "optimizer.hp_decay"),
-            (lambda c: replace(c, mode="fixed", fixed_weights=(1.0, 0.5, 0.5)), "mode"),
-            (lambda c: replace(c, batch_size=4), "batch_size"),
-            (lambda c: replace(c, model=replace(c.model, harm_scale=1.0)), "model.harm_scale"),
-        ],
-        ids=["hp_decay", "mode", "batch_size", "harm_scale"],
-    )
-    def test_rows_differing_in_a_shared_setting_rejected(self, change, field):
-        cfg = small_config()
-        with pytest.raises(ConfigError, match=field):
-            _train_stack([cfg, change(cfg)], [0, 1])
+    def test_init_sweep_rows_match_learned_runs(self):
+        cfg = small_config(epsilon_sweep=(0.001, 0.1, 1.0, 10.0), seeds=(3,))
+        report = run_init_sweep(cfg)
+        for eps, run in zip(cfg.epsilon_sweep, report.runs):
+            alone = run_training(replace(cfg, optimizer=replace(cfg.optimizer, init_epsilon=eps)), 3)
+            assert run.seed == 3 and run.mode == "learned"
+            assert run.diverged == alone.diverged
+            assert rows_close(run.rows, alone.rows)
 
-    def test_rows_may_differ_in_seed_weights_and_epsilon(self):
-        cfg = small_config(mode="fixed", fixed_weights=(1.0, 0.5, 0.5))
-        rows = [cfg, replace(with_epsilon(cfg, 1.0), fixed_weights=(1.0, 0.1, 2.0), seeds=(3,))]
-        assert not any(run.diverged for run in _train_stack(rows, [0, 1]))
+    def test_grid_rows_match_fixed_runs(self):
+        cfg = small_config(grid_axes=((0.1, 1.0, 3.0), (0.25, 2.0)), seeds=(0, 1, 4))
+        grid = run_grid_search(cfg)
+        assert len(grid.points) == 6
+        for point in grid.points:
+            alone = replace(cfg, mode="fixed", fixed_weights=point.raw_point)
+            for run, seed in zip(point.runs, cfg.seeds):
+                single = run_training(alone, seed)
+                assert run.seed == seed and run.mode == "fixed"
+                assert np.array_equal(run.fixed_weights, single.fixed_weights)
+                assert run.diverged == single.diverged
+                assert rows_close(run.rows, single.rows)
 
 
 LOSS, STATE, RANGE = "non-finite loss", "non-finite state after update", "exponent left the representable range"

@@ -146,12 +146,6 @@ class TestSgdwStep:
             assert hps.mu.mu[0] == 0.0
             assert hps.n[0] == 0.0
 
-    def test_lr_scale_doubles_step(self):
-        params, hps = fresh_states([1.0])
-        base, _ = sgdw_step(params, hps, [1.0], [0.0, 0.0], 1, cfg(beta1=0.0))
-        scaled, _ = sgdw_step(params, hps, [1.0], [0.0, 0.0], 1, cfg(beta1=0.0, lr_scale=2.0))
-        assert (1.0 - scaled.w[0]) == pytest.approx(2.0 * (1.0 - base.w[0]), abs=1e-15)
-
     def test_gradient_clipping(self):
         params, hps = fresh_states([0.0])
         clipped, _ = sgdw_step(params, hps, [10.0], [0.0, 0.0], 1, cfg(beta1=0.0, grad_clip=1.0))
