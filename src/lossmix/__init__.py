@@ -15,7 +15,6 @@ from .harness import (
     InitSweepReport,
     RunResult,
     SeedStudyReport,
-    TrainingDiverged,
     TrajectoryRecord,
     export_results,
     import_results,
@@ -38,7 +37,6 @@ from .losses import (
     softmax_weights,
 )
 from .models import (
-    Dataset,
     ToyModelSpec,
     build_model,
     make_synthetic_dataset,

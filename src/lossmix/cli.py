@@ -19,7 +19,6 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .gradcheck import check_hp_gradients, check_model_gradients, check_reg_gradients
 from .harness import (
-    TrainingDiverged,
     _jsonable,
     export_results,
     grid_summary,
@@ -126,15 +125,21 @@ def _write_run(result, run_dir: Path) -> dict:
     return summary
 
 
-def _raise_if_diverged(runs) -> None:
-    """Report the earliest divergence among ``runs``; called once their outputs are written."""
+def _exit_code(runs) -> int:
+    """``EXIT_OK``, or report the earliest divergence among ``runs`` and return ``EXIT_DIVERGED``.
+
+    Called once the runs' outputs are written.
+    """
     diverged = [r for r in runs if r.diverged]
-    if diverged:
-        first = min(diverged, key=lambda r: r.diverged_step)
-        raise TrainingDiverged(
-            first.diverged_step,
-            f"{first.diverged_reason} (seed {first.seed}; {len(diverged)} of {len(runs)} runs diverged)",
-        )
+    if not diverged:
+        return EXIT_OK
+    first = min(diverged, key=lambda r: r.diverged_step)
+    _error_line(
+        "diverged",
+        f"training diverged at step {first.diverged_step}: {first.diverged_reason}"
+        f" (seed {first.seed}; {len(diverged)} of {len(runs)} runs diverged)",
+    )
+    return EXIT_DIVERGED
 
 
 def cmd_gradcheck(args) -> int:
@@ -166,8 +171,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = _write_run(result, out / f"train_seed{seed}")
     print(json.dumps(summary, indent=2))
-    _raise_if_diverged([result])
-    return EXIT_OK
+    return _exit_code([result])
 
 
 def cmd_grid(args) -> int:
@@ -196,8 +200,7 @@ def cmd_grid(args) -> int:
             row = [i, *map(float, p.raw_point), *p.lam.tolist(), *per_seed, p.mean_val, p.std_val]
             writer.writerow(_jsonable(row))
     print(json.dumps(summary, indent=2))
-    _raise_if_diverged([run for point in result.points for run in point.runs])
-    return EXIT_OK
+    return _exit_code([run for point in result.points for run in point.runs])
 
 
 def cmd_seed_study(args) -> int:
@@ -210,8 +213,7 @@ def cmd_seed_study(args) -> int:
     summary = seed_study_summary(report)
     _write_json(out / "seed_study_summary.json", summary)
     print(json.dumps(summary, indent=2))
-    _raise_if_diverged(report.runs)
-    return EXIT_OK
+    return _exit_code(report.runs)
 
 
 def cmd_init_sweep(args) -> int:
@@ -222,8 +224,7 @@ def cmd_init_sweep(args) -> int:
     summary = init_sweep_summary(report)
     _write_json(out / "init_sweep_summary.json", summary)
     print(json.dumps(summary, indent=2))
-    _raise_if_diverged(report.runs)
-    return EXIT_OK
+    return _exit_code(report.runs)
 
 
 def cmd_export(args) -> int:
@@ -261,9 +262,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         _error_line("io", str(exc))
         return EXIT_CONFIG
-    except TrainingDiverged as exc:
-        _error_line("diverged", str(exc))
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

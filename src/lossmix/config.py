@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ConfigError(f"the largest grid point sums to more than the largest float: {self.grid_axes!r}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds!r}")
         if min(self.seeds) < 0 or self.data_seed < 0:
             raise ConfigError(f"seeds and data_seed must be >= 0, got {self.seeds!r} and {self.data_seed!r}")
         if self.n_train < 1 or self.n_val < 1:

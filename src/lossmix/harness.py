@@ -35,7 +35,6 @@ from .optim import adamw_step, sgdw_step
 __all__ = [
     "TrajectoryRecord",
     "RunResult",
-    "TrainingDiverged",
     "GridPointResult",
     "GridSearchResult",
     "SeedStudyReport",
@@ -56,13 +55,6 @@ MU_LIMIT = 700.0
 NON_FINITE_LOSS = "non-finite loss"
 NON_FINITE_STATE = "non-finite state after update"
 OUT_OF_RANGE = "exponent left the representable range"
-
-
-class TrainingDiverged(RuntimeError):
-    """A run's losses or updated state became unusable at ``step``."""
-
-    def __init__(self, step: int, what: str):
-        super().__init__(f"training diverged at step {step}: {what}")
 
 
 @dataclass(frozen=True)
@@ -139,13 +131,17 @@ class RunResult:
 
 
 def normalize_weights(raw) -> np.ndarray:
-    """Scale strictly positive raw weights to sum to one."""
+    """Scale strictly positive raw weights to sum to one; ``ValueError`` if their sum overflows."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 1 or raw.size < 2:
         raise ValueError("raw weights must be a vector of length >= 2")
     if not np.all(np.isfinite(raw)) or np.any(raw <= 0.0):
         raise ValueError("raw weights must be finite and strictly positive")
-    return raw / raw.sum()
+    with np.errstate(over="ignore"):
+        total = raw.sum()
+    if not total < math.inf:
+        raise ValueError(f"raw weights sum to more than the largest float: {raw.tolist()!r}")
+    return raw / total
 
 
 def _start(mode: str, start, n_terms: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -177,17 +173,19 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
     :func:`_start` reads for the mode. The runs sit on a leading axis,
     and their state is plain arrays:
     ``w, m, v`` of shape ``(R, P)``, ``mu, n, u`` of shape ``(R, K+1)``,
-    and the weights ``lam``, computed once per exponent state. Each step
-    gathers a mini-batch per run from the model's design of the training
-    split (built once), evaluates the per-term losses and the parameter
-    gradient under ``lam`` in one forward pass and, in learned mode, the
-    exponent gradient, then applies the joint update (``optim._advance``;
-    to the parameters alone in fixed mode). The loop builds no value
-    object and re-checks no input; ``_faults`` checks each new state.
-    Each run's generator draws its initial parameters and then its
-    epochs' permutations, several epochs per draw (``BatchSampler``), as
-    it would alone. Validation (only the basic loss, on the held-out
-    split) is evaluated at every recorded step.
+    and the weights ``lam``, computed once per exponent state. Both
+    splits come from ``make_synthetic_dataset`` already laid out as the
+    model's ``Design``, and the sampler gathers from the training split
+    as it is. Each step gathers a mini-batch per run, evaluates the
+    per-term losses and the parameter gradient under ``lam`` in one
+    forward pass and, in learned mode, the exponent gradient, then
+    applies the joint update (``optim._advance``; to the parameters
+    alone in fixed mode). The loop builds no value object and re-checks
+    no input; ``_faults`` checks each new state. Each run's generator
+    draws its initial parameters and then its epochs' permutations,
+    several epochs per draw (``BatchSampler``), as it would alone.
+    Validation (only the basic loss, on the held-out split) is evaluated
+    at every recorded step.
 
     A run whose losses or new state are unusable at step t diverges at
     t: it leaves the stack with its partial trajectory and reason, and
@@ -206,7 +204,7 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
     learned = config.mode == "learned"
     rho = ocfg.hp_decay if learned else 0.0  # a fixed run records no regularizer
     moments = _momentum if config.optimizer_kind == "sgdw" else _adam
-    sampler = BatchSampler(model.design(train), config.batch_size, rngs)
+    sampler = BatchSampler(train, config.batch_size, rngs)
     lam = _softmax(mu0)
 
     live = np.arange(len(seeds))  # the stack's rows, as indices into ``seeds``

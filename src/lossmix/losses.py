@@ -63,8 +63,8 @@ def _trusted(cls, **fields):
 
     The validating constructors guard values that come from outside.
     Values computed from checked inputs (a step's new exponents, weights
-    of checked exponents, a batch gathered from a checked split) skip
-    them; a run's state is checked once per step by ``harness._faults``.
+    of checked exponents) skip them; a run's state is checked once per
+    step by ``harness._faults``.
     """
     obj = object.__new__(cls)
     vars(obj).update(fields)
@@ -98,10 +98,6 @@ class HPExponents:
         """Build from a vector of the K free auxiliary exponents, prepending the basic 0."""
         return cls(np.concatenate(([0.0], np.asarray(aux, dtype=np.float64))))
 
-    @property
-    def n_aux(self) -> int:
-        return self.mu.shape[-1] - 1
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -125,23 +121,17 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossVector:
-    """Batch-mean loss values per term (per row of a stack); names[0] is the basic task loss."""
+    """Batch-mean loss values per term (per row of a stack); entry 0 is the basic task loss."""
 
     values: np.ndarray
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         values = _as_rows(self.values, "values")
-        n_terms = values.shape[-1]
-        if n_terms < 1:
+        if values.shape[-1] < 1:
             raise ValueError("need at least one loss value")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"loss values must be finite, got {values!r}")
-        names = tuple(self.names) if self.names else tuple(f"l_{i}" for i in range(n_terms))
-        if len(names) != n_terms:
-            raise ValueError(f"{len(names)} names for {n_terms} values")
         object.__setattr__(self, "values", _frozen_copy(values))
-        object.__setattr__(self, "names", names)
 
 
 def _softmax(m: np.ndarray) -> np.ndarray:

@@ -22,18 +22,17 @@ activations: ``losses_and_gradient(w, batch, lam)`` returns both, and
 evaluates only the basic term (for the MLP, only the clean pass and the
 cross-entropy head), which is all that validation reads.
 
+Every split is a ``Design``, laid out once by ``make_synthetic_dataset``
+for its model kind: inputs and targets stacked slot by slot. The linear
+model's slots are its three loss terms, so one product gives every
+term's residuals and a second one the weighted gradient; the MLP's are
+the clean and the jittered pass. ``BatchSampler`` gathers its batches
+with ``Design.take``, and every model method takes a ``Design``.
+
 Losses and gradients also take a stack of runs: parameters ``(R, P)``
 and weights ``(R, K+1)`` give one result row per run, and the batch
-arrays gain the same leading run axis. A dataset without the run axis,
+arrays gain the same leading run axis. A split without the run axis,
 such as the validation split, is shared by every run of the stack.
-
-``design(data)`` lays a split out as the rows ``losses_and_gradient``
-reads, once per split; ``BatchSampler`` gathers its batches from them.
-The MLP's design is its ``Dataset``. The linear model's is a
-``Design``: the three loss terms' inputs and targets stacked slot by
-slot, so one product gives every term's residuals and a second one the
-weighted gradient. ``losses``, ``param_gradient`` and ``basic_loss``
-take a ``Dataset``.
 """
 
 from __future__ import annotations
@@ -43,14 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import _trusted
-
 __all__ = [
     "LINEAR_KIND",
     "MLP_KIND",
     "MODEL_KINDS",
     "ToyModelSpec",
-    "Dataset",
     "Design",
     "make_synthetic_dataset",
     "build_model",
@@ -97,72 +93,24 @@ class ToyModelSpec:
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """One split of a synthetic task, reproducible from its seed.
-
-    ``jittered`` holds the fixed perturbed copy of ``inputs`` used by
-    the consistency term; ``noise_targets`` the fixed random channel
-    used by the harmful term. Inputs are ``(n, d)``, or ``(R, n, d)``
-    for the batches of a stack of runs; the target channels drop the
-    feature axis.
-    """
-
-    inputs: np.ndarray
-    jittered: np.ndarray
-    targets: np.ndarray
-    noise_targets: np.ndarray
-    split: str
-    seed: int
-
-    def __post_init__(self):
-        if self.split not in ("train", "validation"):
-            raise ValueError(f"split must be 'train' or 'validation', got {self.split!r}")
-        rows = self.inputs.shape[:-1]
-        if rows[-1] < 1:
-            raise ValueError("dataset must contain at least one sample")
-        if self.jittered.shape != self.inputs.shape:
-            raise ValueError("jittered inputs must match inputs shape")
-        if self.targets.shape != rows or self.noise_targets.shape != rows:
-            raise ValueError("target channels must match the number of samples")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[-2]
-
-    def take(self, idx) -> "Dataset":
-        """Row subset as a new Dataset (used for mini-batching).
-
-        An ``(R, B)`` index array gives one batch per run, stacked. The
-        feature arrays are gathered with ``ndarray.take``, which copies the
-        same rows as ``inputs[idx]`` in a fraction of the time at batch
-        sizes. The subset of a checked split is not checked again.
-        """
-        return _trusted(
-            Dataset,
-            inputs=self.inputs.take(idx, axis=0),
-            jittered=self.jittered.take(idx, axis=0),
-            targets=self.targets[idx],
-            noise_targets=self.noise_targets[idx],
-            split=self.split,
-            seed=self.seed,
-        )
-
-
-_SLOTS = np.arange(3)[:, None]  # the loss terms' row blocks of a Design
-
-
-@dataclass(frozen=True)
 class Design:
-    """A split of the linear task as slot-major design rows.
+    """One split of a synthetic task, laid out slot-major for its model kind.
 
-    ``inputs`` is ``(3, n, d)``, the slots x, x - x_jittered and x, and
-    ``targets`` is ``(3, n)``, the slots y, 0 and the noise channel, so
-    that slot k of ``inputs @ w - targets`` is the residual of loss term
-    k. A batch that :meth:`take` gathers from a split has shapes
-    ``(..., 3, B, d)`` and ``(..., 3, B)``. Slot-major (rather than
-    ``(..., B, 3)``) keeps each slot's residuals a product of its own
-    ``(B, d)`` block and contiguous along the batch axis, so the basic
-    loss rounds exactly as ``basic_loss`` does on the same rows. The
-    design holds 3 n (d + 1) floats.
+    ``inputs`` is ``(S, n, d)`` and ``targets`` is ``(S, n)``: S slots
+    over the same n samples.
+
+    * Linear, S = 3: the inputs x, x - x_jittered and x against the
+      targets y, 0 and the noise channel, so that slot k of
+      ``inputs @ w - targets`` is the residual of loss term k. The split
+      holds 3 n (d + 1) floats.
+    * MLP, S = 2: the inputs x and x_jittered, the targets the labels and
+      the noise channel.
+
+    A batch that :meth:`take` gathers has shapes ``(..., S, B, d)`` and
+    ``(..., S, B)``. Slot-major (rather than ``(..., B, S)``) keeps each
+    slot a contiguous ``(B, d)`` block, so a product on one slot rounds
+    exactly as it would on the raw rows: the basic loss of ``losses``
+    equals ``basic_loss`` bit for bit.
     """
 
     inputs: np.ndarray
@@ -174,13 +122,14 @@ class Design:
     def take(self, idx) -> "Design":
         """The rows ``idx`` of every slot, with one gather per array; ``(R, B)`` gives one batch per run.
 
-        The flat ``(3n, d)`` and ``(3n,)`` views and the slots' row offsets
-        are kept in the instance ``__dict__`` on the first call.
+        The flat ``(S n, d)`` and ``(S n,)`` views and the slots' row
+        offsets are kept in the instance ``__dict__`` on the first call.
         """
         flat = self.__dict__.get("_flat")
         if flat is None:
-            n, d = self.inputs.shape[-2:]
-            flat = self.__dict__["_flat"] = (self.inputs.reshape(-1, d), self.targets.reshape(-1), n * _SLOTS)
+            slots, n, d = self.inputs.shape
+            offsets = n * np.arange(slots)[:, None]
+            flat = self.__dict__["_flat"] = (self.inputs.reshape(-1, d), self.targets.reshape(-1), offsets)
         inputs, targets, offsets = flat
         rows = idx[..., None, :] + offsets
         return Design(inputs=inputs.take(rows, axis=0), targets=targets.take(rows))
@@ -188,8 +137,8 @@ class Design:
 
 def make_synthetic_dataset(
     spec: ToyModelSpec, seed: int, n_train: int, n_val: int
-) -> tuple[Dataset, Dataset]:
-    """Generate matched train/validation splits for a model spec.
+) -> tuple[Design, Design]:
+    """Generate matched train/validation splits for a model spec, each its kind's ``Design``.
 
     The ground truth (linear map, or class direction) is drawn once and
     shared by both splits; everything is a deterministic function of
@@ -204,25 +153,25 @@ def make_synthetic_dataset(
         # unit signal variance regardless of d, so loss scales stay O(1)
         w_true = rng.normal(0.0, 1.0, size=d) / np.sqrt(d)
 
-        def draw(n: int, split: str) -> Dataset:
+        def draw(n: int) -> Design:
             x = rng.normal(size=(n, d))
             y = x @ w_true + spec.noise_std * rng.normal(size=n)
             xj = x + spec.jitter_std * rng.normal(size=(n, d))
             r = spec.harm_scale * rng.normal(size=n)
-            return Dataset(x, xj, y, r, split, seed)
+            return Design(inputs=np.stack([x, x - xj, x]), targets=np.stack([y, np.zeros(n), r]))
 
     else:
         direction = rng.normal(size=d)
         direction = direction / np.linalg.norm(direction)
 
-        def draw(n: int, split: str) -> Dataset:
+        def draw(n: int) -> Design:
             labels = rng.integers(0, 2, size=n)
             x = rng.normal(size=(n, d)) + (2.0 * labels - 1.0)[:, None] * direction
             xj = x + spec.jitter_std * rng.normal(size=(n, d))
             r = spec.harm_scale * rng.normal(size=n)
-            return Dataset(x, xj, labels.astype(np.float64), r, split, seed)
+            return Design(inputs=np.stack([x, xj]), targets=np.stack([labels.astype(np.float64), r]))
 
-    return draw(n_train, "train"), draw(n_val, "validation")
+    return draw(n_train), draw(n_val)
 
 
 class LinearMultiLossModel:
@@ -237,26 +186,18 @@ class LinearMultiLossModel:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(0.0, 0.1, size=self.n_params)
 
-    def design(self, data: Dataset) -> Design:
-        x = data.inputs
-        return Design(
-            inputs=np.stack([x, x - data.jittered, x], axis=-3),
-            targets=np.stack([data.targets, np.zeros_like(data.targets), data.noise_targets], axis=-2),
-        )
+    def losses(self, w: np.ndarray, batch: Design) -> np.ndarray:
+        return self._losses(self._residuals(w, batch))
 
-    def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
-        return self._losses(self._residuals(w, self.design(batch)))
+    def param_gradient(self, w: np.ndarray, batch: Design, lam: np.ndarray) -> np.ndarray:
+        return self._gradient(batch, lam, self._residuals(w, batch))
 
-    def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
-        rows = self.design(batch)
-        return self._gradient(rows, lam, self._residuals(w, rows))
+    def losses_and_gradient(self, w: np.ndarray, batch: Design, lam: np.ndarray):
+        e = self._residuals(w, batch)
+        return self._losses(e), self._gradient(batch, lam, e)
 
-    def losses_and_gradient(self, w: np.ndarray, rows: Design, lam: np.ndarray):
-        e = self._residuals(w, rows)
-        return self._losses(e), self._gradient(rows, lam, e)
-
-    def basic_loss(self, w: np.ndarray, data: Dataset) -> np.ndarray:
-        e0 = (data.inputs @ w[..., None])[..., 0] - data.targets
+    def basic_loss(self, w: np.ndarray, data: Design) -> np.ndarray:
+        e0 = (data.inputs[..., 0, :, :] @ w[..., None])[..., 0] - data.targets[..., 0, :]
         return np.add.reduce(e0 * e0, axis=-1) / e0.shape[-1]
 
     @staticmethod
@@ -328,25 +269,25 @@ class ConsistencyMLPModel:
         u = rng.normal(0.0, 1.0 / np.sqrt(hd), size=hd)
         return np.concatenate([w1.ravel(), np.zeros(hd), w2.ravel(), np.zeros(2), u, [0.0]])
 
-    def design(self, data: Dataset) -> Dataset:
-        return data
+    def losses(self, w: np.ndarray, batch: Design) -> np.ndarray:
+        return self._losses(self._forward(w, batch))
 
-    def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
-        return self._losses(batch, self._forward(w, batch))
+    def param_gradient(self, w: np.ndarray, batch: Design, lam: np.ndarray) -> np.ndarray:
+        return self._gradient(lam, self._forward(w, batch))
 
-    def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
-        return self._gradient(batch, lam, self._forward(w, batch))
-
-    def losses_and_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray):
+    def losses_and_gradient(self, w: np.ndarray, batch: Design, lam: np.ndarray):
         fwd = self._forward(w, batch)
-        return self._losses(batch, fwd), self._gradient(batch, lam, fwd)
+        return self._losses(fwd), self._gradient(lam, fwd)
 
-    def basic_loss(self, w: np.ndarray, data: Dataset) -> np.ndarray:
-        _, _, zs, _, ez_sum = self._clean(w, data.inputs)
-        return _cross_entropy(zs, ez_sum, data.targets)[..., 0]
+    def basic_loss(self, w: np.ndarray, data: Design) -> np.ndarray:
+        _, _, zs, _, ez_sum = self._clean(w, data.inputs[..., 0, :, :])
+        return _cross_entropy(zs, ez_sum, data.targets[..., 0, :])[..., 0]
 
     def _hidden(self, w1, b1, x):
-        return np.tanh(x @ w1 + b1[..., None, :])
+        # in place: at validation size three (R, n, H) temporaries cost ~64 page faults per call
+        z = x @ w1
+        z += b1[..., None, :]
+        return np.tanh(z, out=z)
 
     def _clean(self, w: np.ndarray, x: np.ndarray):
         """The clean pass up to the cross-entropy head.
@@ -362,32 +303,36 @@ class ConsistencyMLPModel:
         ez = np.exp(zs)
         return params, a1, zs, ez, np.add.reduce(ez, axis=-1, keepdims=True)
 
-    def _forward(self, w: np.ndarray, batch: Dataset):
-        """Both passes and all three heads, everything the losses and the gradient read."""
-        params, a1, zs, ez, ez_sum = self._clean(w, batch.inputs)
+    def _forward(self, w: np.ndarray, batch: Design):
+        """Both passes and all three heads, everything the losses and the gradient read.
+
+        The batch's slots come first, as views: x, x_jittered, the labels and the noise channel.
+        """
+        x, xj = batch.inputs[..., 0, :, :], batch.inputs[..., 1, :, :]
+        labels, r = batch.targets[..., 0, :], batch.targets[..., 1, :]
+        params, a1, zs, ez, ez_sum = self._clean(w, x)
         w1, b1, _, _, u, c = params
-        a1j = self._hidden(w1, b1, batch.jittered)
+        a1j = self._hidden(w1, b1, xj)
         pred = a1 @ u[..., None] + c[..., None, None]  # noise head, (..., n, 1)
-        return params, a1, a1j, a1 - a1j, zs, ez, ez_sum, pred
+        return (x, xj, labels, r), params, a1, a1j, a1 - a1j, zs, ez, ez_sum, pred
 
     @staticmethod
-    def _losses(batch: Dataset, fwd) -> np.ndarray:
-        _, _, _, diff, zs, _, ez_sum, pred = fwd
-        l0 = _cross_entropy(zs, ez_sum, batch.targets)
+    def _losses(fwd) -> np.ndarray:
+        (_, _, labels, r), _, _, _, diff, zs, _, ez_sum, pred = fwd
+        l0 = _cross_entropy(zs, ez_sum, labels)
         l1 = np.add.reduce(diff**2, axis=(-2, -1))[..., None] / (diff.shape[-2] * diff.shape[-1])
-        l2 = np.add.reduce((pred[..., 0] - batch.noise_targets) ** 2, axis=-1, keepdims=True) / pred.shape[-2]
+        l2 = np.add.reduce((pred[..., 0] - r) ** 2, axis=-1, keepdims=True) / pred.shape[-2]
         return np.concatenate([l0, l1, l2], axis=-1)
 
-    def _gradient(self, batch: Dataset, lam: np.ndarray, fwd) -> np.ndarray:
-        (w1, _, w2, _, u, _), a1, a1j, diff, _, ez, ez_sum, pred = fwd
-        x, xj = batch.inputs, batch.jittered
+    def _gradient(self, lam: np.ndarray, fwd) -> np.ndarray:
+        (x, xj, labels, r), (w1, _, w2, _, u, _), a1, a1j, diff, _, ez, ez_sum, pred = fwd
         n = x.shape[-2]
         lam = lam[..., None, None]
         a1t = a1.swapaxes(-1, -2)
 
         # cross-entropy head
         probs = ez / ez_sum
-        onehot = batch.targets[..., None] == _CLASSES
+        onehot = labels[..., None] == _CLASSES
         dlogits = lam[..., 0, :, :] * (probs - onehot) / n
         dw2 = a1t @ dlogits
         db2 = np.add.reduce(dlogits, axis=-2)
@@ -399,7 +344,7 @@ class ConsistencyMLPModel:
         da1j = -lam[..., 1, :, :] * scale * diff
 
         # noise-fit regression head
-        dpred = lam[..., 2, :, :] * (2.0 / n) * (pred - batch.noise_targets[..., None])
+        dpred = lam[..., 2, :, :] * (2.0 / n) * (pred - r[..., None])
         du = (a1t @ dpred)[..., 0]
         dc = np.add.reduce(dpred, axis=-2)
         da1 = da1 + dpred * u[..., None, :]
@@ -439,20 +384,17 @@ class DuplicatedTermModel:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return self.base.init_params(rng)
 
-    def design(self, data: Dataset):
-        return self.base.design(data)
-
-    def losses(self, w: np.ndarray, batch: Dataset) -> np.ndarray:
+    def losses(self, w: np.ndarray, batch: Design) -> np.ndarray:
         return self._append(self.base.losses(w, batch))
 
-    def param_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray) -> np.ndarray:
+    def param_gradient(self, w: np.ndarray, batch: Design, lam: np.ndarray) -> np.ndarray:
         return self.base.param_gradient(w, batch, self._fold(lam))
 
-    def losses_and_gradient(self, w: np.ndarray, batch: Dataset, lam: np.ndarray):
+    def losses_and_gradient(self, w: np.ndarray, batch: Design, lam: np.ndarray):
         l, g = self.base.losses_and_gradient(w, batch, self._fold(lam))
         return self._append(l), g
 
-    def basic_loss(self, w: np.ndarray, data: Dataset) -> np.ndarray:
+    def basic_loss(self, w: np.ndarray, data: Design) -> np.ndarray:
         return self.base.basic_loss(w, data)
 
     def _append(self, l: np.ndarray) -> np.ndarray:
@@ -478,13 +420,12 @@ DRAW_BLOCK = 1024
 class BatchSampler:
     """Sequential mini-batches with a fresh shuffle at each epoch.
 
-    ``rows`` is a ``Dataset`` or a model's ``design`` of one; a batch is
-    its ``take`` of the batch's indices. ``rng`` is one generator, or a
-    sequence of them for a stack of runs: each run then shuffles with
-    its own generator, and batches gain a leading run axis. The runs
-    share the cursor, so the short last batch of an epoch (when
-    ``batch_size`` does not divide the dataset) is equally short for all
-    of them.
+    ``rows`` is a split, a ``Design``; a batch is its ``take`` of the
+    batch's indices. ``rng`` is one generator, or a sequence of them for
+    a stack of runs: each run then shuffles with its own generator, and
+    batches gain a leading run axis. The runs share the cursor, so the
+    short last batch of an epoch (when ``batch_size`` does not divide
+    the split) is equally short for all of them.
 
     Each generator shuffles ``max(1, DRAW_BLOCK // n)`` epochs at once,
     with one ``Generator.permuted`` call on rows of ``arange(n)``. On

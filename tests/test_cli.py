@@ -152,6 +152,8 @@ class TestTrainCommand:
             ("grid", ["--override", "grid_axes=0.1,nan ; 1"]),
             ("grid", ["--override", "grid_axes=0.1 ; inf"]),
             ("seed-study", ["--override", "seeds=0,-1"]),
+            ("seed-study", ["--override", "seeds=0,0"]),
+            ("grid", ["--override", "seeds=1,1"]),
             ("train", ["--override", "data_seed=-3"]),
             ("train", ["--seed", "-1"]),
             ("init-sweep", ["--override", "epsilon_sweep=0.1,-1"]),
@@ -166,7 +168,8 @@ class TestTrainCommand:
             ("train", ["--override", "grad_clip=inf"]),
             ("train", ["--override", "noise_std=nan"]),
         ],
-        ids=["fixed-nan", "fixed-inf", "grid-nan", "grid-inf", "negative-seed", "negative-data-seed",
+        ids=["fixed-nan", "fixed-inf", "grid-nan", "grid-inf", "negative-seed", "duplicate-study-seeds",
+             "duplicate-grid-seeds", "negative-data-seed",
              "train-seed", "negative-epsilon", "nan-hp-decay", "nan-weight-decay", "zero-adam-eps",
              "negative-adam-eps", "negative-schedule-factor", "inf-alpha", "nan-grad-clip", "inf-grad-clip",
              "nan-noise-std"],

@@ -99,6 +99,7 @@ class TestBuild:
             {"grid_axes": ((0.1,), (float("inf"),))},
             {"grid_axes": ((0.1,), (0.0,))},
             {"seeds": (0, -1)},
+            {"seeds": (0, 1, 0)},
             {"data_seed": -1},
             {"epsilon_sweep": (0.1, -1.0)},
             {"epsilon_sweep": (0.1, float("nan"))},
@@ -117,7 +118,7 @@ class TestBuild:
             {"harm_scale": float("inf")},
         ],
         ids=["fixed-nan", "fixed-inf", "fixed-sum-overflow", "grid-nan", "grid-inf", "grid-zero",
-             "negative-seed", "negative-data-seed", "negative-epsilon", "nan-epsilon", "inf-init-epsilon",
+             "negative-seed", "duplicate-seeds", "negative-data-seed", "negative-epsilon", "nan-epsilon", "inf-init-epsilon",
              "grid-sum-overflow", "nan-hp-decay", "nan-weight-decay", "zero-adam-eps", "negative-adam-eps",
              "negative-schedule-factor", "inf-alpha", "nan-grad-clip", "inf-grad-clip", "nan-noise-std",
              "nan-jitter-std", "inf-harm-scale"],

@@ -249,6 +249,18 @@ class TestGridSearch:
             run_grid_search(small_config())
 
 
+class TestNormalizeWeights:
+    def test_sum_overflow_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="largest float"):
+                normalize_weights([1.0, 1e308, 1e308])
+
+    def test_sum_at_the_largest_float_still_normalizes(self):
+        big = np.finfo(np.float64).max / 2
+        np.testing.assert_array_equal(normalize_weights([big, big]), [0.5, 0.5])
+
+
 class TestStackedEngine:
     """Drivers train all their runs in one stack; each row must behave as a lone run."""
 

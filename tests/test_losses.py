@@ -36,7 +36,6 @@ class TestHPExponents:
     def test_from_auxiliary(self):
         mu = HPExponents.from_auxiliary([1.0, -2.0])
         assert mu.mu.tolist() == [0.0, 1.0, -2.0]
-        assert mu.n_aux == 2
         assert mu.mu.shape[-1] == 3
 
     def test_immutable(self):
@@ -60,14 +59,6 @@ class TestLossWeights:
 
 
 class TestLossVector:
-    def test_default_names(self):
-        lv = LossVector([1.0, 2.0, 3.0])
-        assert lv.names == ("l_0", "l_1", "l_2")
-
-    def test_name_length_mismatch(self):
-        with pytest.raises(ValueError):
-            LossVector([1.0, 2.0], names=("a",))
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             LossVector([1.0, np.nan])

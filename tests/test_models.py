@@ -12,7 +12,6 @@ from lossmix.models import (
     LINEAR_KIND,
     MLP_KIND,
     BatchSampler,
-    Dataset,
     Design,
     DuplicatedTermModel,
     LinearMultiLossModel,
@@ -37,13 +36,21 @@ class TestSpecValidation:
             ToyModelSpec(duplicate_term=3)
 
 
+def channels(data):
+    """The raw channels ``(x, x_jittered, y, r)`` of a split or batch, read back out of its slots."""
+    x = data.inputs[..., 0, :, :]
+    if data.inputs.shape[-3] == 3:  # linear: x, x - x_jittered, x against y, 0, r
+        return x, x - data.inputs[..., 1, :, :], data.targets[..., 0, :], data.targets[..., 2, :]
+    return x, data.inputs[..., 1, :, :], data.targets[..., 0, :], data.targets[..., 1, :]
+
+
 class TestDatasetGeneration:
     def test_deterministic(self):
         a_train, a_val = make_synthetic_dataset(LIN, 5, 20, 10)
         b_train, b_val = make_synthetic_dataset(LIN, 5, 20, 10)
         np.testing.assert_array_equal(a_train.inputs, b_train.inputs)
         np.testing.assert_array_equal(a_val.targets, b_val.targets)
-        np.testing.assert_array_equal(a_train.noise_targets, b_train.noise_targets)
+        np.testing.assert_array_equal(a_train.targets, b_train.targets)
 
     def test_seeds_differ(self):
         a, _ = make_synthetic_dataset(LIN, 1, 20, 10)
@@ -56,43 +63,71 @@ class TestDatasetGeneration:
         with pytest.raises(ValueError):
             make_synthetic_dataset(LIN, 0, 10, 0)
 
-    def test_splits_are_labeled(self):
-        train, val = make_synthetic_dataset(MLP, 3, 12, 7)
-        assert train.split == "train" and val.split == "validation"
-        assert len(train) == 12 and len(val) == 7
-
     def test_mlp_labels_are_binary(self):
         train, _ = make_synthetic_dataset(MLP, 3, 40, 5)
-        assert set(np.unique(train.targets)) <= {0.0, 1.0}
+        assert set(np.unique(channels(train)[2])) <= {0.0, 1.0}
+
+    def test_linear_split_is_its_three_loss_slots(self):
+        """Slots x, x - x_jittered, x against y, 0, r, of the draws a same-seed generator makes in order."""
+        train, val = make_synthetic_dataset(LIN, 3, 12, 7)
+        rng = np.random.default_rng(3)
+        d = LIN.n_features
+        w_true = rng.normal(0.0, 1.0, size=d) / np.sqrt(d)
+        for split, n in ((train, 12), (val, 7)):
+            x = rng.normal(size=(n, d))
+            y = x @ w_true + LIN.noise_std * rng.normal(size=n)
+            xj = x + LIN.jitter_std * rng.normal(size=(n, d))
+            r = LIN.harm_scale * rng.normal(size=n)
+            assert type(split) is Design and len(split) == n
+            assert_bitwise(split.inputs, np.stack([x, x - xj, x]))
+            assert_bitwise(split.targets, np.stack([y, np.zeros(n), r]))
+
+    def test_mlp_split_is_its_two_passes(self):
+        """Slots x, x_jittered against the labels and r, of the draws a same-seed generator makes in order."""
+        train, val = make_synthetic_dataset(MLP, 3, 12, 7)
+        rng = np.random.default_rng(3)
+        d = MLP.n_features
+        direction = rng.normal(size=d)
+        direction = direction / np.linalg.norm(direction)
+        for split, n in ((train, 12), (val, 7)):
+            labels = rng.integers(0, 2, size=n)
+            x = rng.normal(size=(n, d)) + (2.0 * labels - 1.0)[:, None] * direction
+            xj = x + MLP.jitter_std * rng.normal(size=(n, d))
+            r = MLP.harm_scale * rng.normal(size=n)
+            assert type(split) is Design and len(split) == n
+            assert_bitwise(split.inputs, np.stack([x, xj]))
+            assert_bitwise(split.targets, np.stack([labels.astype(np.float64), r]))
 
 
 def naive_linear_losses(w, batch):
     """Loop-based re-implementation used as an independent oracle."""
+    x, xj, y, r = channels(batch)
     n = len(batch)
     l0 = l1 = l2 = 0.0
     for i in range(n):
-        p = float(batch.inputs[i] @ w)
-        pj = float(batch.jittered[i] @ w)
-        l0 += (p - batch.targets[i]) ** 2
+        p = float(x[i] @ w)
+        pj = float(xj[i] @ w)
+        l0 += (p - y[i]) ** 2
         l1 += (p - pj) ** 2
-        l2 += (p - batch.noise_targets[i]) ** 2
+        l2 += (p - r[i]) ** 2
     return np.array([l0 / n, l1 / n, l2 / n])
 
 
 def naive_mlp_losses(model, w, batch):
     """Per-sample loop oracle for the MLP loss terms."""
     w1, b1, w2, b2, u, c = model._unpack(w)
+    x, xj, labels, r = channels(batch)
     n = len(batch)
     l0 = l1 = l2 = 0.0
     for i in range(n):
-        a1 = np.tanh(batch.inputs[i] @ w1 + b1)
-        a1j = np.tanh(batch.jittered[i] @ w1 + b1)
+        a1 = np.tanh(x[i] @ w1 + b1)
+        a1j = np.tanh(xj[i] @ w1 + b1)
         logits = a1 @ w2 + b2
         m = max(logits)
         logz = m + math.log(math.exp(logits[0] - m) + math.exp(logits[1] - m))
-        l0 += logz - logits[int(batch.targets[i])]
+        l0 += logz - logits[int(labels[i])]
         l1 += float(np.mean((a1 - a1j) ** 2))
-        l2 += (float(a1 @ u) + c - batch.noise_targets[i]) ** 2
+        l2 += (float(a1 @ u) + c - r[i]) ** 2
     return np.array([l0 / n, l1 / n, l2 / n])
 
 
@@ -101,7 +136,8 @@ class TestEvalLosses:
         spec = ToyModelSpec(kind=LINEAR_KIND, n_features=4, noise_std=0.0, jitter_std=0.4)
         train, _ = make_synthetic_dataset(spec, 0, 10, 5)
         # recover the exact generating weights from the noise-free system
-        w_true, *_ = np.linalg.lstsq(train.inputs, train.targets, rcond=None)
+        x, _, y, _ = channels(train)
+        w_true, *_ = np.linalg.lstsq(x, y, rcond=None)
         model = build_model(spec)
         losses = model.losses(w_true, train)
         assert losses[0] < 1e-20
@@ -174,7 +210,8 @@ class TestParamGradient:
     def test_stationary_at_least_squares_solution(self):
         train, _ = make_synthetic_dataset(LIN, 15, 30, 5)
         model = build_model(LIN)
-        w_ols, *_ = np.linalg.lstsq(train.inputs, train.targets, rcond=None)
+        x, _, y, _ = channels(train)
+        w_ols, *_ = np.linalg.lstsq(x, y, rcond=None)
         nearly_basic = np.array([1.0 - 2e-9, 1e-9, 1e-9])
         g = model.param_gradient(w_ols, train, nearly_basic)
         assert np.linalg.norm(g) < 1e-6
@@ -242,7 +279,7 @@ class TestFusedEvaluation:
     @RUNS
     def test_losses_and_gradient_equal_the_halves(self, spec, runs):
         model, w, batch, lam, _ = model_case(spec, runs)
-        losses, grad = model.losses_and_gradient(w, model.design(batch), lam)
+        losses, grad = model.losses_and_gradient(w, batch, lam)
         assert_bitwise(losses, model.losses(w, batch))
         assert_bitwise(grad, model.param_gradient(w, batch, lam))
         assert losses.shape == np.shape(w)[:-1] + (len(model.loss_names),)
@@ -260,8 +297,8 @@ class TestBatchSampler:
     def test_epoch_covers_dataset(self):
         train, _ = make_synthetic_dataset(LIN, 3, 12, 4)
         sampler = BatchSampler(train, 4, np.random.default_rng(0))
-        seen = np.concatenate([sampler.next_batch().targets for _ in range(3)])
-        np.testing.assert_array_equal(np.sort(seen), np.sort(train.targets))
+        seen = np.concatenate([channels(sampler.next_batch())[2] for _ in range(3)])
+        np.testing.assert_array_equal(np.sort(seen), np.sort(channels(train)[2]))
 
     def test_batch_size_capped_at_dataset(self):
         train, _ = make_synthetic_dataset(LIN, 3, 5, 4)
@@ -272,41 +309,16 @@ class TestBatchSampler:
         train, _ = make_synthetic_dataset(LIN, 3, 10, 4)
         sub = train.take(np.array([1, 3]))
         assert len(sub) == 2
-        np.testing.assert_array_equal(sub.inputs, train.inputs[[1, 3]])
+        np.testing.assert_array_equal(sub.inputs, train.inputs[:, [1, 3]])
 
     @pytest.mark.parametrize("idx", [[7, 1, 3], [[1, 3], [0, 9], [4, 4]]], ids=["single", "stacked"])
     def test_take_equals_fancy_indexing(self, idx):
-        train, _ = make_synthetic_dataset(LIN, 3, 10, 4)
+        """Batch axes go in front of the slot axis, on the three slots of the linear split and the MLP's two."""
         idx = np.array(idx)
-        fancy = Dataset(
-            train.inputs[idx], train.jittered[idx], train.targets[idx], train.noise_targets[idx], train.split, train.seed
-        )
-        assert_same_batch(train.take(idx), fancy)
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"split": "test"},
-            {"inputs": np.zeros((0, 3)), "jittered": np.zeros((0, 3)), "targets": np.zeros(0), "noise_targets": np.zeros(0)},
-            {"jittered": np.zeros((4, 2))},
-            {"targets": np.zeros(3)},
-            {"noise_targets": np.zeros((2, 4))},
-        ],
-        ids=["split", "empty", "jittered", "targets", "noise_targets"],
-    )
-    def test_constructor_keeps_its_checks(self, change):
-        fields_ = dict(inputs=np.zeros((4, 3)), jittered=np.zeros((4, 3)), targets=np.zeros(4), noise_targets=np.zeros(4))
-        with pytest.raises(ValueError):
-            Dataset(**{**fields_, "split": "train", "seed": 0, **change})
-
-    def test_design_stacks_the_three_terms(self):
-        train, _ = make_synthetic_dataset(LIN, 3, 10, 4)
-        rows = LinearMultiLossModel(LIN).design(train)
-        assert type(rows) is Design
-        x = train.inputs
-        assert_bitwise(rows.inputs, np.stack([x, x - train.jittered, x]))
-        assert_bitwise(rows.targets, np.stack([train.targets, np.zeros(10), train.noise_targets]))
-        assert len(rows) == len(train) == 10
+        for spec in (LIN, MLP):
+            train, _ = make_synthetic_dataset(spec, 3, 10, 4)
+            fancy = Design(np.moveaxis(train.inputs[:, idx], 0, -3), np.moveaxis(train.targets[:, idx], 0, -2))
+            assert_same_batch(train.take(idx), fancy)
 
 
 def reference_batches(dataset, batch_size, rngs, stacked, steps, keep_at=None, keep=None):
@@ -341,29 +353,16 @@ def stacked_gens(seeds, stacked):
     return rngs if stacked else rngs[0]
 
 
-def laid_out(layout, data):
-    """``data`` as the sampler's rows: the split itself, or the linear model's design of it."""
-    return data if layout == "dataset" else LinearMultiLossModel(LIN).design(data)
-
-
-# (stacked, layout) of a sampler: one run or a stack, gathering from a split or from its design
-STACKS = pytest.mark.parametrize(
-    "stacked, layout",
-    [(False, "dataset"), (True, "dataset"), (False, "design"), (True, "design")],
-    ids=["single", "stacked", "single-design", "stacked-design"],
-)
+# one run or a stack of them, gathering from the split's ``Design``
+STACKS = pytest.mark.parametrize("stacked", [False, True], ids=["single-design", "stacked-design"])
 
 
 class TestBatchSamplerDraws:
-    """Batches and generator draws equal a per-batch gather of each epoch's permutation, bitwise.
-
-    A sampler on the linear model's design of the split gathers the design
-    of the same batch.
-    """
+    """Batches and generator draws equal a per-batch gather of each epoch's permutation, bitwise."""
 
     @pytest.mark.parametrize("batch_size", [8, 5], ids=["divides", "ragged"])
     @STACKS
-    def test_batches_match_reference(self, batch_size, stacked, layout):
+    def test_batches_match_reference(self, batch_size, stacked):
         train, _ = make_synthetic_dataset(LIN, 3, 32, 4)
         seeds = (4, 9, 11) if stacked else (4,)
 
@@ -372,60 +371,52 @@ class TestBatchSamplerDraws:
             return rngs if stacked else rngs[0]
 
         mine, theirs = gens(), gens()
-        sampler = BatchSampler(laid_out(layout, train), batch_size, mine)
+        sampler = BatchSampler(train, batch_size, mine)
         expected = reference_batches(train, batch_size, theirs if stacked else [theirs], stacked, 30)
         for want in expected:
-            assert_same_batch(sampler.next_batch(), laid_out(layout, want))
+            assert_same_batch(sampler.next_batch(), want)
         # the sampler has drawn its whole first block of epochs; the reference only the epochs it used
         finish_draw_block(theirs if stacked else [theirs], 32, -(-30 // -(-32 // batch_size)))
         for a, b in zip(mine if stacked else [mine], theirs if stacked else [theirs]):
             assert a.bit_generator.state == b.bit_generator.state
 
-    @pytest.mark.parametrize(
-        "keep_at, layout",
-        [(3, "dataset"), (4, "dataset"), (7, "dataset"), (7, "design")],
-        ids=["mid-epoch", "epoch-end", "before-ragged", "before-ragged-design"],
-    )
-    def test_keep_matches_reference(self, keep_at, layout):
+    @pytest.mark.parametrize("keep_at", [3, 4, 7], ids=["mid-epoch", "epoch-end", "before-ragged-design"])
+    def test_keep_matches_reference(self, keep_at):
         train, _ = make_synthetic_dataset(LIN, 3, 30, 4)  # batches of 8, 8, 8, 6
         keep = np.array([True, False, True])
         mine = [np.random.default_rng(s) for s in (4, 9, 11)]
         theirs = [np.random.default_rng(s) for s in (4, 9, 11)]
-        sampler = BatchSampler(laid_out(layout, train), 8, mine)
+        sampler = BatchSampler(train, 8, mine)
         expected = reference_batches(train, 8, theirs, True, 12, keep_at=keep_at, keep=keep)
         for step, want in enumerate(expected):
             if step == keep_at:
                 sampler.keep(keep)
-            assert_same_batch(sampler.next_batch(), laid_out(layout, want))
+            assert_same_batch(sampler.next_batch(), want)
 
     @STACKS
-    def test_batches_match_reference_across_draw_blocks(self, stacked, layout):
+    def test_batches_match_reference_across_draw_blocks(self, stacked):
         train, _ = make_synthetic_dataset(LIN, 3, 32, 4)  # 32 epochs of 4 batches per draw block
         seeds = (4, 9, 11) if stacked else (4,)
         mine, theirs = stacked_gens(seeds, stacked), stacked_gens(seeds, stacked)
-        sampler = BatchSampler(laid_out(layout, train), 8, mine)
+        sampler = BatchSampler(train, 8, mine)
         expected = reference_batches(train, 8, theirs if stacked else [theirs], stacked, 140)
         for want in expected:
-            assert_same_batch(sampler.next_batch(), laid_out(layout, want))
+            assert_same_batch(sampler.next_batch(), want)
         finish_draw_block(theirs if stacked else [theirs], 32, 35)
         for a, b in zip(mine if stacked else [mine], theirs if stacked else [theirs]):
             assert a.bit_generator.state == b.bit_generator.state
 
-    @pytest.mark.parametrize(
-        "keep_at, layout",
-        [(127, "dataset"), (128, "dataset"), (131, "dataset"), (128, "design")],
-        ids=["block-end", "block-start", "next-block", "block-start-design"],
-    )
-    def test_keep_across_draw_blocks(self, keep_at, layout):
+    @pytest.mark.parametrize("keep_at", [127, 128, 131], ids=["block-end", "block-start-design", "next-block"])
+    def test_keep_across_draw_blocks(self, keep_at):
         train, _ = make_synthetic_dataset(LIN, 3, 32, 4)  # the second draw block starts at step 128
         keep = np.array([False, True, True])
         mine, theirs = stacked_gens((4, 9, 11), True), stacked_gens((4, 9, 11), True)
-        sampler = BatchSampler(laid_out(layout, train), 8, mine)
+        sampler = BatchSampler(train, 8, mine)
         expected = reference_batches(train, 8, theirs, True, 140, keep_at=keep_at, keep=keep)
         for step, want in enumerate(expected):
             if step == keep_at:
                 sampler.keep(keep)
-            assert_same_batch(sampler.next_batch(), laid_out(layout, want))
+            assert_same_batch(sampler.next_batch(), want)
 
     @pytest.mark.parametrize("n_train", [DRAW_BLOCK, DRAW_BLOCK + 76])
     def test_long_epochs_draw_one_at_a_time(self, n_train):

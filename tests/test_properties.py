@@ -173,14 +173,14 @@ def assert_bitwise(got, want):
 def test_fused_evaluation_is_bitwise_its_halves(kind, duplicate_term, runs, seed):
     """``losses_and_gradient`` is ``(losses, param_gradient)`` and ``basic_loss`` is column 0, bit for bit.
 
-    The fused evaluation reads the batch as the sampler gathers it, from the
-    model's design of the pool. ``runs`` 0 is one run without the run axis.
+    The batch is gathered as the sampler gathers it, with ``Design.take``
+    on the pool. ``runs`` 0 is one run without the run axis.
     """
     model, pool, val, w, lam, idx = model_case(kind, max(runs, 1), seed, duplicate_term)
     if runs == 0:
         w, lam, idx = w[0], lam[0], idx[0]
     batch = pool.take(idx)
-    losses, grad = model.losses_and_gradient(w, model.design(pool).take(idx), lam)
+    losses, grad = model.losses_and_gradient(w, batch, lam)
     assert_bitwise(losses, model.losses(w, batch))
     assert_bitwise(grad, model.param_gradient(w, batch, lam))
     for data in (batch, val):
