@@ -186,19 +186,18 @@ def cmd_grid(args) -> int:
     _write_json(out / "grid_summary.json", summary)
     with (out / "grid_table.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        n_terms = result.points[0].lam.size
+        n_terms = len(summary["points"][0]["lambda"])
         writer.writerow(
             ["point_index"]
             + [f"raw_{i}" for i in range(n_terms)]
             + [f"lambda_{i}" for i in range(n_terms)]
-            + [f"val_seed{s}" for s in result.seeds]
+            + [f"val_seed{s}" for s in summary["seeds"]]
             + ["mean_val", "std_val"]
         )
-        # str() of a float is its repr; a value the JSON summary writes as null is an empty cell
-        for i, p in enumerate(result.points):
-            per_seed = [None if r.diverged else r.final_val for r in p.runs]
-            row = [i, *map(float, p.raw_point), *p.lam.tolist(), *per_seed, p.mean_val, p.std_val]
-            writer.writerow(_jsonable(row))
+        # each row is the summary's point as it is: str() of a float is its repr, and a null is an empty cell
+        for i, p in enumerate(summary["points"]):
+            values = [*p["raw_point"], *p["lambda"], *p["per_seed_val"].values(), p["mean_val"], p["std_val"]]
+            writer.writerow([i, *values])
     print(json.dumps(summary, indent=2))
     return _exit_code([run for point in result.points for run in point.runs])
 

@@ -81,7 +81,7 @@ def _aggregate(name, tol, trials) -> GradCheckReport:
     """Fold (analytic, numeric) gradient pairs into a report.
 
     A non-finite entry on either side is an infinite error at its index,
-    so the report fails.
+    so the report fails; so does a report over no trials, which checked nothing.
     """
     n_trials = 0
     max_rel = 0.0
@@ -105,7 +105,7 @@ def _aggregate(name, tol, trials) -> GradCheckReport:
         max_relative_error=max_rel,
         max_absolute_error=max_abs,
         worst_index=worst,
-        passed=max_rel < tol,
+        passed=n_trials > 0 and max_rel < tol,
     )
 
 

@@ -95,7 +95,7 @@ class RunResult:
 
     seed: int
     mode: str
-    fixed_weights: np.ndarray | None
+    fixed_weights: np.ndarray | None  # fixed mode: the weights trained on, bitwise its rows' lambda_*
     initial_mu: np.ndarray
     rows: np.ndarray  # (T, C)
     diverged: bool
@@ -144,20 +144,16 @@ def normalize_weights(raw) -> np.ndarray:
     return raw / total
 
 
-def _start(mode: str, start, n_terms: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """A run's initial exponents, and its normalized weights when they are fixed.
-
-    ``start`` is the run's ``init_epsilon`` in learned mode and its raw
-    fixed weights in fixed mode.
-    """
+def _start(mode: str, start, n_terms: int) -> np.ndarray:
+    """A run's initial exponents from its start: its ``init_epsilon`` when learned, its raw weights when fixed."""
     if mode == "learned":
-        return init_hp_state(n_terms - 1, start).mu.mu, None
+        return init_hp_state(n_terms - 1, start).mu.mu
     lam = normalize_weights(start)
     if lam.size != n_terms:
         raise ConfigError(f"{lam.size} fixed weights for {n_terms} loss terms")
     mu0 = np.log(lam / lam[0])
     mu0[0] = 0.0
-    return mu0, lam
+    return mu0
 
 
 def _own_start(config: ExperimentConfig):
@@ -195,17 +191,16 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
     model = build_model(config.model)
     train, val = make_synthetic_dataset(config.model, config.data_seed, config.n_train, config.n_val)
     n_terms = len(model.loss_names)
-    inits = [_start(config.mode, start, n_terms) for start in starts]
+    mu0 = np.stack([_start(config.mode, start, n_terms) for start in starts])
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     w = np.stack([model.init_params(rng) for rng in rngs])
-    mu0 = np.stack([mu for mu, _ in inits])
     state = (w, np.zeros_like(w), np.zeros_like(w), mu0, np.zeros_like(mu0), np.zeros_like(mu0))  # w, m, v, mu, n, u
     learned = config.mode == "learned"
     rho = ocfg.hp_decay if learned else 0.0  # a fixed run records no regularizer
     moments = _momentum if config.optimizer_kind == "sgdw" else _adam
     sampler = BatchSampler(train, config.batch_size, rngs)
-    lam = _softmax(mu0)
+    lam = lam0 = _softmax(mu0)  # a fixed run trains on, and reports, its row of lam0
 
     live = np.arange(len(seeds))  # the stack's rows, as indices into ``seeds``
     n_records = -(-ocfg.total_steps // config.record_every)
@@ -248,7 +243,7 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
         RunResult(
             seed=seed,
             mode=config.mode,
-            fixed_weights=fixed,
+            fixed_weights=None if learned else lam0[r].copy(),
             initial_mu=mu0[r].copy(),
             rows=traj[r, : stopped[r][2] if r in stopped else k],
             diverged=r in stopped,
@@ -256,7 +251,7 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
             diverged_reason=stopped[r][1] if r in stopped else None,
             wall_time=wall,
         )
-        for r, (seed, (_, fixed)) in enumerate(zip(seeds, inits))
+        for r, seed in enumerate(seeds)
     ]
 
 
@@ -311,7 +306,7 @@ class GridPointResult:
     """All seeds of one fixed-weight grid point."""
 
     raw_point: tuple[float, ...]
-    lam: np.ndarray
+    lam: np.ndarray  # its runs' fixed_weights
     runs: list[RunResult]
 
     @property
@@ -367,10 +362,8 @@ def run_grid_search(config: ExperimentConfig) -> GridSearchResult:
         [seed for _ in raws for seed in seeds],
         [raw for raw in raws for _ in seeds],
     )
-    points = [
-        GridPointResult(raw, normalize_weights(raw), runs[i * len(seeds) : (i + 1) * len(seeds)])
-        for i, raw in enumerate(raws)
-    ]
+    groups = [runs[i * len(seeds) : (i + 1) * len(seeds)] for i in range(len(raws))]
+    points = [GridPointResult(raw, group[0].fixed_weights, group) for raw, group in zip(raws, groups)]
     return GridSearchResult(points=points, seeds=seeds)
 
 
@@ -507,6 +500,9 @@ def run_init_sweep(config: ExperimentConfig, epsilons=None, seed=None) -> InitSw
 # trajectory export / import
 
 def trajectory_columns(n_terms: int) -> list[str]:
+    """The trajectory schema for ``n_terms`` loss terms; ``ValueError`` below 2, the least a run has."""
+    if n_terms < 2:
+        raise ValueError(f"a trajectory has n_terms >= 2 loss terms (10 or more columns), got {n_terms}")
     return (
         ["t"]
         + [f"mu_{i}" for i in range(n_terms)]
@@ -526,8 +522,10 @@ def export_results(rows, fmt: str, path) -> Path:
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     rows = np.asarray(rows, dtype=np.float64)
-    columns = trajectory_columns((rows.shape[-1] - 4) // 3)
-    if rows.ndim != 2 or rows.shape[1] != len(columns):
+    if rows.ndim != 2:
+        raise ValueError(f"trajectory rows must be a (T, C) array, got shape {rows.shape}")
+    columns = trajectory_columns((rows.shape[1] - 4) // 3)
+    if rows.shape[1] != len(columns):
         raise ValueError(f"trajectory rows must be a (T, 3 * n_terms + 4) array, got shape {rows.shape}")
     table = [[int(row[0])] + row[1:].tolist() for row in rows]
     path = Path(path)
@@ -564,7 +562,9 @@ def read_rows(path, fmt: str | None = None) -> np.ndarray:
             if not payload:
                 return np.empty((0, 0))
             columns = list(payload[0])
-            table = [[rec.get(c) for c in columns] for rec in payload]
+            if any(rec.keys() != payload[0].keys() for rec in payload):
+                raise ValueError(f"every JSON trajectory record must carry exactly the keys {columns!r}")
+            table = [[rec[c] for c in columns] for rec in payload]
     except OSError as exc:
         raise OSError(f"cannot read trajectory from {path}: {exc}") from exc
     if columns != trajectory_columns((len(columns) - 4) // 3):
@@ -574,8 +574,8 @@ def read_rows(path, fmt: str | None = None) -> np.ndarray:
             raise ValueError(f"trajectory row has {len(row)} values for {len(columns)} columns")
     try:
         return np.array([[float(v) for v in row] for row in table]).reshape(len(table), len(columns))
-    except TypeError as exc:  # a JSON record without a column, or a null, list or object where a number belongs
-        raise ValueError(f"missing or non-numeric trajectory value: {exc}") from exc
+    except TypeError as exc:  # a null, list or object where a number belongs
+        raise ValueError(f"non-numeric trajectory value: {exc}") from exc
 
 
 def import_results(path, fmt: str | None = None) -> list[TrajectoryRecord]:

@@ -13,7 +13,7 @@ import pytest
 from lossmix import gradcheck
 from lossmix.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from lossmix.config import load_config
-from lossmix.harness import import_results, run_init_sweep, run_training
+from lossmix.harness import import_results, read_rows, run_init_sweep, run_training
 from lossmix.models import LinearMultiLossModel
 
 CONFIG = """
@@ -67,6 +67,13 @@ class TestGradcheckCommand:
         assert payload["all_passed"] is True
         assert len(payload["reports"]) == 4
         assert json.loads(report_path.read_text()) == payload
+
+    def test_no_trials_fail(self, capsys):
+        code = main(["gradcheck", "--trials", "0", "--model-trials", "-3"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_passed"] is False
+        assert [(r["n_trials"], r["passed"]) for r in payload["reports"]] == [(0, False)] * 4
 
     def test_impossible_tolerance_fails(self, capsys):
         code = main(["gradcheck", "--trials", "5", "--model-trials", "2", "--tol", "1e-18", "--model-tol", "1e-18"])
@@ -241,6 +248,28 @@ class TestGridCommand:
         capsys.readouterr()
 
 
+    def test_table_is_the_summary_and_the_trained_weights(self, config_path, tmp_path, capsys):
+        # the demo axes, plus a raw weight whose exponent leaves the range, so its runs diverge at step 1
+        out = tmp_path / "out"
+        code = main(["grid", "--config", str(config_path), "--out", str(out),
+                     "--override", "grid_axes=0.1,0.3,1.0,1e305 ; 0.1,0.3,1.0"])
+        assert code == EXIT_DIVERGED
+        capsys.readouterr()
+        summary = json.loads((out / "grid_summary.json").read_text())
+        with (out / "grid_table.csv").open(newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert len(table) == len(summary["points"]) == 12
+        assert any(p["mean_val"] is None for p in summary["points"])
+        for i, (row, p) in enumerate(zip(table, summary["points"])):
+            values = [i, *p["raw_point"], *p["lambda"], *(p["per_seed_val"][str(s)] for s in summary["seeds"])]
+            cells = [float(c) if c else None for c in row.values()]
+            assert cells == [*values, p["mean_val"], p["std_val"]], i
+            for seed in summary["seeds"]:
+                run = json.loads((out / f"grid_p{i:02d}_seed{seed}" / "summary.json").read_text())
+                assert run["fixed_weights"] == p["lambda"]
+                rows = read_rows(out / f"grid_p{i:02d}_seed{seed}" / "trajectory.csv")
+                assert (rows[:, 4:7] == p["lambda"]).all()
+
     def test_no_grid_axes_exits_3_and_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "no_grid.cfg"
         path.write_text("\n".join(line for line in CONFIG.splitlines() if not line.startswith("grid_axes")))
@@ -395,6 +424,32 @@ class TestExportCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+
+    @pytest.mark.parametrize(
+        "header", ["t,L_e,L_r,val_basic_loss", "t,mu_0,lambda_0,l_0,L_e,L_r,val_basic_loss"], ids=["K=0", "K=1"]
+    )
+    def test_fewer_than_two_terms_exit_3(self, tmp_path, capsys, header):
+        src = tmp_path / "narrow.csv"
+        src.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        code = main(["export", "--input", str(src), "--format", "json", "--out-file", str(tmp_path / "out.json")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not (tmp_path / "out.json").exists()
+
+    def test_record_with_an_extra_key_exits_3(self, tmp_path, capsys):
+        from lossmix.harness import export_results
+
+        src = tmp_path / "extra.json"
+        export_results(np.ones((2, 10)), "json", src)
+        records = json.loads(src.read_text())
+        records[1]["mu_2"] = 7.0
+        src.write_text(json.dumps(records))
+        code = main(["export", "--input", str(src), "--format", "csv", "--out-file", str(tmp_path / "out.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         code = main(["export", "--input", str(tmp_path / "nope.csv"), "--format", "json",

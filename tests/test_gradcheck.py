@@ -137,6 +137,12 @@ class TestNonFiniteGradients:
 
 
 class TestTrialCount:
+    def test_no_trials_fail(self):
+        # a check that ran no trial checked nothing
+        report = _aggregate("g", 1e-6, [])
+        assert report.n_trials == 0
+        assert not report.passed
+
     def test_exponent_checks_count_their_trials(self, monkeypatch):
         checks = {"hp_gradient_empirical": check_hp_gradients, "regularizer_gradient": check_reg_gradients}
         for name, check in checks.items():

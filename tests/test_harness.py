@@ -238,6 +238,21 @@ class TestGridSearch:
             for run in point.runs:
                 np.testing.assert_allclose(run.trajectory[0].lam, raw / raw.sum(), atol=1e-12)
 
+    def test_fixed_weights_are_the_trained_weights(self):
+        # at the demo axes, normalize_weights(raw) and the softmax the engine trains on differ in the last digit
+        cfg = small_config(grid_axes=((0.1, 0.3, 1.0), (0.1, 0.3, 1.0)), seeds=(0, 1))
+        lam_columns = [trajectory_columns(3).index(f"lambda_{i}") for i in range(3)]
+        for point in run_grid_search(cfg).points:
+            for run in point.runs:
+                assert len(run.rows) and (run.rows[:, lam_columns] == run.fixed_weights).all()
+
+    def test_point_weights_are_its_runs_weights(self):
+        cfg = small_config(grid_axes=((0.1, 0.3, 1.0), (0.1, 0.3, 1.0)), seeds=(0, 1))
+        for point in run_grid_search(cfg).points:
+            for run in point.runs:
+                assert np.array_equal(point.lam, run.fixed_weights)
+                assert np.array_equal(point.lam, run.final.lam)
+
     def test_best_point_selected_by_mean_val(self):
         cfg = small_config(grid_axes=((0.1, 1.0), (0.1,)), seeds=(0, 1))
         grid = run_grid_search(cfg)
@@ -615,6 +630,43 @@ class TestExportImport:
             with pytest.raises(ValueError):
                 export_results(rows, "csv", tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("n_terms", [-1, 0, 1])
+    def test_schema_needs_two_terms(self, n_terms):
+        with pytest.raises(ValueError, match="n_terms >= 2"):
+            trajectory_columns(n_terms)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("width", [4, 7])
+    def test_fewer_than_two_terms_rejected(self, tmp_path, fmt, width):
+        path = tmp_path / f"x.{fmt}"
+        with pytest.raises(ValueError, match="n_terms >= 2"):
+            export_results(np.ones((1, width)), fmt, path)
+        assert not path.exists()
+        names = {4: ["t"], 7: ["t", "mu_0", "lambda_0", "l_0"]}[width] + ["L_e", "L_r", "val_basic_loss"]
+        if fmt == "csv":
+            path.write_text(",".join(names) + "\n" + ",".join(["1"] * width) + "\n")
+        else:
+            path.write_text(json.dumps([dict.fromkeys(names, 1.0)]))
+        with pytest.raises(ValueError, match="n_terms >= 2"):
+            read_rows(path)
+
+    @pytest.mark.parametrize("rows", [1.0, np.float64(2.0), np.array(3.0)])
+    def test_zero_d_rows_rejected(self, tmp_path, rows):
+        with pytest.raises(ValueError, match=r"\(T, C\) array"):
+            export_results(rows, "csv", tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("edit", ["extra", "missing"])
+    def test_json_records_carry_the_header_keys(self, tmp_path, edit):
+        path = export_results(np.ones((2, 10)), "json", tmp_path / "x.json")
+        records = json.loads(path.read_text())
+        if edit == "extra":
+            records[1]["mu_2"] = 7.0
+        else:
+            del records[1]["L_r"]
+        path.write_text(json.dumps(records))
+        with pytest.raises(ValueError, match="exactly the keys"):
+            read_rows(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
