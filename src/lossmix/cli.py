@@ -60,15 +60,21 @@ def _add_config_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or config out_dir)")
 
 
+def _trial_count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"a trial count must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lossmix", description=__doc__)
     parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--model-trials", type=int, default=50)
+    p.add_argument("--model-trials", type=_trial_count, default=50)
     p.add_argument("--model-tol", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None, help="also write the report to this path")

@@ -517,7 +517,8 @@ def export_results(rows, fmt: str, path) -> Path:
 
     Column order: t, mu_0..mu_K, lambda_0..lambda_K, l_0..l_K, L_e, L_r,
     val_basic_loss; C fixes K, so an empty trajectory still gets its
-    header. Floats are written with round-trip precision.
+    header. ``t`` must hold whole steps. The bytes are what ``csv.writer``
+    and ``json.dump(..., indent=2)`` write, so every float round-trips.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -527,16 +528,22 @@ def export_results(rows, fmt: str, path) -> Path:
     columns = trajectory_columns((rows.shape[1] - 4) // 3)
     if rows.shape[1] != len(columns):
         raise ValueError(f"trajectory rows must be a (T, 3 * n_terms + 4) array, got shape {rows.shape}")
-    table = [[int(row[0])] + row[1:].tolist() for row in rows]
+    if not np.all(np.isfinite(rows[:, 0]) & (rows[:, 0] == np.trunc(rows[:, 0]))):
+        raise ValueError(f"trajectory step t must be a whole number, got {rows[:, 0].tolist()!r:.80}")
+    specs = ["%d"] + ["%s"] * (len(columns) - 1)  # "%d" of a whole float is str(int(t)); "%s" of a float is its repr
+    table = rows.tolist()
+    if fmt == "csv":
+        line = ",".join(specs) + "\r\n"
+        text = ",".join(columns) + "\r\n" + "".join([line % tuple(row) for row in table])
+    else:
+        if not np.isfinite(rows).all():  # JSON spells them NaN, Infinity and -Infinity
+            table = [[v if math.isfinite(v) else json.dumps(v) for v in row] for row in table]
+        record = "  {\n" + ",\n".join([f'    "{c}": {spec}' for c, spec in zip(columns, specs)]) + "\n  }"
+        text = "[\n" + ",\n".join([record % tuple(row) for row in table]) + "\n]" if table else "[]"
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
-            if fmt == "csv":  # str() of a float is its repr
-                writer = csv.writer(fh)
-                writer.writerow(columns)
-                writer.writerows(table)
-            else:
-                json.dump([dict(zip(columns, values)) for values in table], fh, indent=2)
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {fmt} trajectory to {path}: {exc}") from exc
     return path

@@ -69,11 +69,19 @@ class TestGradcheckCommand:
         assert json.loads(report_path.read_text()) == payload
 
     def test_no_trials_fail(self, capsys):
-        code = main(["gradcheck", "--trials", "0", "--model-trials", "-3"])
+        code = main(["gradcheck", "--trials", "0", "--model-trials", "0"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is False
         assert [(r["n_trials"], r["passed"]) for r in payload["reports"]] == [(0, False)] * 4
+
+    @pytest.mark.parametrize(
+        "counts", [["--trials", "-3", "--model-trials", "-1"], ["--trials", "-1"], ["--model-trials", "-1"]]
+    )
+    def test_negative_trials_are_usage_errors(self, capsys, counts):
+        assert main(["gradcheck", *counts]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "a trial count must be >= 0" in err
 
     def test_impossible_tolerance_fails(self, capsys):
         code = main(["gradcheck", "--trials", "5", "--model-trials", "2", "--tol", "1e-18", "--model-tol", "1e-18"])
@@ -450,6 +458,22 @@ class TestExportCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_whole_step_exits_3_and_writes_nothing(self, tmp_path, capsys, fmt):
+        from lossmix.harness import trajectory_columns
+
+        src = tmp_path / "half.csv"
+        src.write_text(",".join(trajectory_columns(2)) + "\n" + ",".join(["1.5"] + ["1.0"] * 9) + "\n")
+        dst = tmp_path / f"out.{fmt}"
+        code = main(["export", "--input", str(src), "--format", fmt, "--out-file", str(dst)])
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert "whole number" in json.loads(err[0])["message"]
+        assert not dst.exists()
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         code = main(["export", "--input", str(tmp_path / "nope.csv"), "--format", "json",

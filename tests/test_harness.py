@@ -2,14 +2,18 @@
 
 import csv
 import importlib.util
+import io
 import json
 import math
+import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lossmix.cli
 from lossmix import harness, losses, models, optim
@@ -68,6 +72,35 @@ def assert_same_records(a, b):
     for ra, rb in zip(a, b):
         for f in fields(TrajectoryRecord):
             assert np.array_equal(getattr(ra, f.name), getattr(rb, f.name)), f.name
+
+
+def stdlib_text(rows, fmt):
+    """What ``csv.writer`` or ``json.dump(..., indent=2)`` writes for trajectory ``rows``: the writer's oracle."""
+    columns = trajectory_columns((rows.shape[1] - 4) // 3)
+    table = [[int(row[0])] + row[1:].tolist() for row in rows]
+    fh = io.StringIO(newline="")
+    if fmt == "csv":
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(table)
+    else:
+        json.dump([dict(zip(columns, values)) for values in table], fh, indent=2)
+    return fh.getvalue()
+
+
+def file_text(path):
+    with Path(path).open(newline="") as fh:
+        return fh.read()
+
+
+def same_values(a, b):
+    """Equal shapes and values, NaN matching NaN, and the same sign on every number."""
+    numbers = ~np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a[numbers]), np.signbit(b[numbers]))
+    )
 
 
 def rows_close(a, b, tol=1e-12):
@@ -603,6 +636,29 @@ class TestExportImport:
         assert np.array_equal(back, rows)
         assert np.array_equal(np.signbit(back), np.signbit(rows))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("width", [13, 16])
+    @pytest.mark.parametrize("n_rows", [0, 1, 4])
+    def test_bytes_match_the_stdlib_writers_on_edge_values(self, tmp_path, fmt, width, n_rows):
+        edges = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1e300, 0.1 + 0.2, -1 / 3, 1e16]
+        rows = np.resize(np.array(edges), (n_rows, width))
+        rows[:, 0] = [0.0, 1e15, 300.0, 1.7976931348623157e308][:n_rows]
+        path = export_results(rows, fmt, tmp_path / f"traj.{fmt}")
+        assert file_text(path) == stdlib_text(rows, fmt)
+        if n_rows or fmt == "csv":  # an empty JSON list has no header to read the width from
+            assert same_values(read_rows(path), rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("step", [1.5, -0.25, 1e15 + 0.5, math.nan, math.inf, -math.inf])
+    def test_non_whole_step_rejected(self, tmp_path, fmt, step):
+        rows = np.ones((3, 10))
+        rows[1, 0] = step
+        path = tmp_path / f"traj.{fmt}"
+        with pytest.raises(ValueError, match="whole number"):
+            export_results(rows, fmt, path)
+        assert not path.exists()
+
     def test_empty_trajectory_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         export_results(np.empty((0, 13)), "csv", path)
@@ -694,6 +750,30 @@ class TestExportImport:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="12 values for 13 columns"):
             import_results(path)
+
+
+@st.composite
+def trajectory_rows(draw):
+    """A ``(T, C)`` trajectory of 0-6 rows and 2-5 terms: whole steps up to 1e15, any float elsewhere."""
+    n_rows = draw(st.integers(0, 6))
+    width = 3 * draw(st.integers(2, 5)) + 4
+    steps = draw(st.lists(st.integers(0, 10**15), min_size=n_rows, max_size=n_rows))
+    values = draw(st.lists(st.floats(), min_size=n_rows * (width - 1), max_size=n_rows * (width - 1)))
+    rows = np.empty((n_rows, width))
+    rows[:, 0] = steps
+    rows[:, 1:] = np.reshape(values, (n_rows, width - 1))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=trajectory_rows())
+def test_export_writes_the_stdlib_bytes_and_round_trips(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "json"):
+            path = export_results(rows, fmt, Path(tmp) / f"traj.{fmt}")
+            assert file_text(path) == stdlib_text(rows, fmt)
+            if len(rows) or fmt == "csv":  # an empty JSON list has no header to read the width from
+                assert same_values(read_rows(path), rows)
 
 
 class TestHelpfulHarmfulConstruction:
