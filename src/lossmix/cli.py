@@ -68,7 +68,7 @@ def _trial_count(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lossmix", description=__doc__)
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    parser.add_argument("-v", "--verbose", action="store_true", help="log each run written")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
@@ -170,8 +170,6 @@ def cmd_gradcheck(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.override)
     seed = args.seed if args.seed is not None else config.seeds[0]
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
     out = _out_dir(args, config)
     result = run_training(config, seed)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,7 +256,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses exit(2) for usage errors
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    logging.basicConfig(level=logging.DEBUG if args.verbose > 1 else logging.INFO if args.verbose else logging.WARNING)
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

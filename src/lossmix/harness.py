@@ -278,11 +278,13 @@ def _faults(lvals: np.ndarray, w: np.ndarray, mu: np.ndarray) -> list[str | None
 
 
 def run_training(config: ExperimentConfig, seed: int) -> RunResult:
-    """Run the full training loop for one seed: a stack of one run.
+    """Run the full training loop for one seed (``ConfigError`` if negative): a stack of one run.
 
     Divergence flags the run and preserves the partial trajectory
     instead of raising.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return _train_stack(config, [seed], [_own_start(config)])[0]
 
 
@@ -392,9 +394,9 @@ class SeedStudyReport:
         return _sample_std(self.final_vals)
 
 
-def run_seed_study(config: ExperimentConfig, seeds=None) -> SeedStudyReport:
-    """Run one configuration across seeds, in one stack, and measure trajectory spread."""
-    seeds = tuple(seeds if seeds is not None else config.seeds)
+def run_seed_study(config: ExperimentConfig) -> SeedStudyReport:
+    """Run one configuration across its seeds, in one stack, and measure trajectory spread."""
+    seeds = tuple(config.seeds)
     if len(seeds) < 2:
         raise ConfigError("seed study needs at least 2 seeds")
     runs = _train_stack(config, seeds, [_own_start(config)] * len(seeds))
@@ -457,13 +459,12 @@ class InitSweepReport:
         return len(self.clusters)
 
 
-def run_init_sweep(config: ExperimentConfig, epsilons=None, seed=None) -> InitSweepReport:
-    """One learned-mode run per initialization scale, all in one stack, endpoints clustered."""
+def run_init_sweep(config: ExperimentConfig, epsilons=None) -> InitSweepReport:
+    """One learned-mode run of the first seed per initialization scale, all in one stack, endpoints clustered."""
     epsilons = tuple(epsilons if epsilons is not None else config.epsilon_sweep)
     if len(epsilons) < 2:
         raise ConfigError("init sweep needs at least 2 epsilon values")
-    seed = config.seeds[0] if seed is None else seed
-    results = _train_stack(replace(config, mode="learned"), [seed] * len(epsilons), epsilons)
+    results = _train_stack(replace(config, mode="learned"), [config.seeds[0]] * len(epsilons), epsilons)
 
     entries = []
     for eps, result in zip(epsilons, results):
@@ -473,7 +474,7 @@ def run_init_sweep(config: ExperimentConfig, epsilons=None, seed=None) -> InitSw
         entries.append(
             InitSweepEntry(
                 epsilon=float(eps),
-                seed=seed,
+                seed=result.seed,
                 final_mu=final_mu,
                 final_lam=final_lam,
                 final_val=result.final_val,
@@ -549,17 +550,15 @@ def export_results(rows, fmt: str, path) -> Path:
     return path
 
 
-def read_rows(path, fmt: str | None = None) -> np.ndarray:
+def read_rows(path) -> np.ndarray:
     """The ``(T, C)`` rows of a trajectory file written by :func:`export_results`.
 
-    A header-only CSV gives ``(0, C)``; an empty JSON list has no header
-    and gives ``(0, 0)``.
+    A ``.json`` suffix reads JSON, any other CSV. A header-only CSV gives
+    ``(0, C)``; an empty JSON list has no header and gives ``(0, 0)``.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
     try:
-        if fmt == "csv":
+        if path.suffix.lower() != ".json":
             with path.open(newline="") as fh:
                 columns, *table = list(csv.reader(fh)) or [[]]
         else:
@@ -585,9 +584,9 @@ def read_rows(path, fmt: str | None = None) -> np.ndarray:
         raise ValueError(f"non-numeric trajectory value: {exc}") from exc
 
 
-def import_results(path, fmt: str | None = None) -> list[TrajectoryRecord]:
+def import_results(path) -> list[TrajectoryRecord]:
     """Read a trajectory file written by :func:`export_results` as records."""
-    return [TrajectoryRecord.from_row(row) for row in read_rows(path, fmt)]
+    return [TrajectoryRecord.from_row(row) for row in read_rows(path)]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ such as the validation split, is shared by every run of the stack.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -243,24 +244,21 @@ class ConsistencyMLPModel:
         d, hd = spec.n_features, spec.hidden_units
         self.d = d
         self.h = hd
-        self.n_params = d * hd + hd + hd * 2 + 2 + hd + 1
+        ends = list(itertools.accumulate((d * hd, hd, hd * 2, 2, hd), initial=0))
+        self._w1, self._b1, self._w2, self._b2, self._u = map(slice, ends[:-1], ends[1:])
+        self._c = ends[-1]
+        self.n_params = self._c + 1
 
     def _unpack(self, w: np.ndarray):
-        d, hd = self.d, self.h
         runs = w.shape[:-1]
-        i = 0
-        w1 = w[..., i : i + d * hd].reshape(runs + (d, hd))
-        i += d * hd
-        b1 = w[..., i : i + hd]
-        i += hd
-        w2 = w[..., i : i + hd * 2].reshape(runs + (hd, 2))
-        i += hd * 2
-        b2 = w[..., i : i + 2]
-        i += 2
-        u = w[..., i : i + hd]
-        i += hd
-        c = w[..., i]
-        return w1, b1, w2, b2, u, c
+        return (
+            w[..., self._w1].reshape(runs + (self.d, self.h)),
+            w[..., self._b1],
+            w[..., self._w2].reshape(runs + (self.h, 2)),
+            w[..., self._b2],
+            w[..., self._u],
+            w[..., self._c],
+        )
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         d, hd = self.d, self.h

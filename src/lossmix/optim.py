@@ -207,11 +207,13 @@ def sgdw_step(params: ParamState, hps: HPState, g, h, t: int, config: OptimizerC
 
     where dR(mu)_i = lam_i (mu_i - <lam, mu>) + sigmoid(mu_i) is the
     unit-strength regularizer gradient at the previous exponents (0 for
-    i = 0) and rho = ``hp_decay``. States may carry a leading run
-    axis, ``(R, P)`` and ``(R, K+1)``; every run then takes the same step.
-    The new state is returned unchecked: the caller decides which runs
-    diverged. ``h`` None freezes the exponents: only ``w`` and its
-    moments step, and ``hps`` is returned as given.
+    i = 0) and rho = ``hp_decay``. The rho term skips the momentum, which
+    scales a steady ``h`` by 1 / (1 - beta1), so at a fixed point of ``mu``
+    the regularizer acts with strength rho (1 - beta1). States may carry
+    a leading run axis, ``(R, P)`` and ``(R, K+1)``; every run then takes
+    the same step. The new state is returned unchecked: the caller
+    decides which runs diverged. ``h`` None freezes the exponents: only
+    ``w`` and its moments step, and ``hps`` is returned as given.
     """
     return _step(_momentum, params, hps, g, h, t, config)
 
