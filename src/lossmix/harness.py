@@ -3,7 +3,7 @@
 Every run is a deterministic function of (config, seed): the run seed
 drives parameter initialization and batch shuffling, the data seed the
 dataset. Every driver makes one call to the same engine, which trains
-all of its runs together on a leading run axis; a single run is a stack
+all of its runs together on leading run axes; a single run is a stack
 of one. A stack is one config plus a seed and a start per run: the
 run's ``init_epsilon`` in learned mode, its raw fixed weights in fixed
 mode. Fixed-weight runs skip the exponent gradient, the regularizer
@@ -166,41 +166,54 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
 
     The runs share every setting of ``config``, so a stack cannot mix
     settings; each run has its own seed and its own start, the value
-    :func:`_start` reads for the mode. The runs sit on a leading axis,
-    and their state is plain arrays:
+    :func:`_start` reads for the mode. The runs sit on leading axes, and
+    their state is plain arrays:
     ``w, m, v`` of shape ``(R, P)``, ``mu, n, u`` of shape ``(R, K+1)``,
     and the weights ``lam``, computed once per exponent state. Both
     splits come from ``make_synthetic_dataset`` already laid out as the
     model's ``Design``, and the sampler gathers from the training split
-    as it is. Each step gathers a mini-batch per run, evaluates the
+    as it is. Each step gathers a mini-batch per seed, evaluates the
     per-term losses and the parameter gradient under ``lam`` in one
     forward pass and, in learned mode, the exponent gradient, then
     applies the joint update (``optim._advance``; to the parameters
     alone in fixed mode). The loop builds no value object and re-checks
-    no input; ``_faults`` checks each new state. Each run's generator
+    no input; ``_faults`` checks each new state. Each seed's generator
     draws its initial parameters and then its epochs' permutations,
-    several epochs per draw (``BatchSampler``), as it would alone.
+    several epochs per draw (``BatchSampler``), as a lone run would.
     Validation (only the basic loss, on the held-out split) is evaluated
-    at every recorded step.
+    at every recorded step. When ``seeds`` is G distinct seeds repeated,
+    as a grid or an init sweep builds it, rows that share a seed share a
+    generator and a ``(G, S, B, d)`` batch, broadcast over the
+    ``(tiles, G, ...)`` state; each row still computes, bitwise, what it
+    would alone. Rows are flattened to ``seeds`` order only to record, in
+    ``_faults``' slow path and on a divergence.
 
     A run whose losses or new state are unusable at step t diverges at
     t: it leaves the stack with its partial trajectory and reason, and
-    the other runs carry on.
+    the other runs carry on as ``(R, ...)``, each with its own generator.
     """
     ocfg = config.optimizer
     model = build_model(config.model)
     train, val = make_synthetic_dataset(config.model, config.data_seed, config.n_train, config.n_val)
     n_terms = len(model.loss_names)
-    mu0 = np.stack([_start(config.mode, start, n_terms) for start in starts])
+    mu0 = np.stack([_start(config.mode, start, n_terms) for start in starts])  # (R, K+1), in ``seeds`` order
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    w = np.stack([model.init_params(rng) for rng in rngs])
-    state = (w, np.zeros_like(w), np.zeros_like(w), mu0, np.zeros_like(mu0), np.zeros_like(mu0))  # w, m, v, mu, n, u
+    distinct = list(dict.fromkeys(seeds))
+    tiles = len(seeds) // len(distinct)
+    if list(seeds) != distinct * tiles:
+        distinct, tiles = list(seeds), 1
+    groups = len(distinct)  # G, the generators; every row has its own once the stack is (R, ...)
+    lead = (tiles, groups) if tiles > 1 else (groups,)
+    rngs = [np.random.default_rng(seed) for seed in distinct]
+    w = np.broadcast_to(np.stack([model.init_params(rng) for rng in rngs]), lead + (model.n_params,)).copy()
+    mu = mu0.reshape(lead + (n_terms,))
+    state = (w, np.zeros_like(w), np.zeros_like(w), mu, np.zeros_like(mu), np.zeros_like(mu))  # w, m, v, mu, n, u
     learned = config.mode == "learned"
     rho = ocfg.hp_decay if learned else 0.0  # a fixed run records no regularizer
     moments = _momentum if config.optimizer_kind == "sgdw" else _adam
     sampler = BatchSampler(train, config.batch_size, rngs)
-    lam = lam0 = _softmax(mu0)  # a fixed run trains on, and reports, its row of lam0
+    lam0 = _softmax(mu0)  # a fixed run trains on, and reports, its row of lam0
+    lam = lam0.reshape(mu.shape)
 
     live = np.arange(len(seeds))  # the stack's rows, as indices into ``seeds``
     n_records = -(-ocfg.total_steps // config.record_every)
@@ -216,25 +229,27 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
             h = _softmax_gradient(lam, lvals) if learned else None  # None freezes the exponents
             state = _advance(moments, state, g, h, lam, t, ocfg)
 
-            faults = _faults(lvals, state[0], state[3])
+            faults = _faults(lvals, state[0], state[3] if learned or t == 1 else None)  # a fixed mu never moves
             if faults is not None:
                 keep = np.array([fault is None for fault in faults])
                 stopped.update((int(r), (t, fault, k)) for r, fault in zip(live, faults) if fault)
                 live = live[keep]
                 if not live.size:
                     break
-                sampler.keep(keep)
-                state = tuple(a[keep] for a in state)
-                lvals, lam = lvals[keep], lam[keep]
+                rows = np.flatnonzero(keep)
+                sampler.select(rows % groups)  # row r of the stack draws from generator r mod G
+                groups = live.size
+                state = tuple(a.reshape(keep.size, -1)[rows] for a in state)
+                lvals, lam = (a.reshape(keep.size, -1)[rows] for a in (lvals, lam))
             if learned:
                 lam = _softmax(state[3])
 
             if t % config.record_every == 0 or t == ocfg.total_steps:
-                w, mu = state[0], state[3]
+                w, mu, lv, lm = (a.reshape(live.size, -1) for a in (state[0], state[3], lvals, lam))
                 val_basic = model.basic_loss(w, val)
-                reg = rho * _regularizer_value(lam, mu) if rho else np.zeros(live.size)
-                composite = (lam * lvals).sum(axis=-1)
-                block = (np.full(live.size, t), mu, lam, lvals, composite, reg, val_basic)
+                reg = rho * _regularizer_value(lm, mu) if rho else np.zeros(live.size)
+                composite = (lm * lv).sum(axis=-1)
+                block = (np.full(live.size, t), mu, lm, lv, composite, reg, val_basic)
                 traj[live, k] = np.column_stack(block)
                 k += 1
 
@@ -255,26 +270,28 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
     ]
 
 
-def _faults(lvals: np.ndarray, w: np.ndarray, mu: np.ndarray) -> list[str | None] | None:
-    """Per run, why it diverged at this step (None if it did not); None when no run did.
+def _faults(lvals: np.ndarray, w: np.ndarray, mu: np.ndarray | None) -> list[str | None] | None:
+    """Per run, in row order, why it diverged at this step (None if it did not); None when no run did.
 
     A non-finite loss comes first, then a non-finite state, then an exponent past ``MU_LIMIT``.
+    ``mu`` None skips the exponent checks, for exponents that passed them and have not moved since.
     """
-    all_, max_ = np.logical_and.reduce, np.maximum.reduce  # what ndarray.all and .max call, minus the wrapper
-    # the usual case, checked over the whole stack at once; a NaN exponent fails the range test
-    if (
-        all_(np.isfinite(w), axis=None)
-        and max_(np.abs(mu), axis=None) <= MU_LIMIT
-        and all_(np.isfinite(lvals), axis=None)
+    # the usual case, one sum over the stack: a finite sum has only finite terms, and a sum of
+    # finite terms that overflows falls through to the exact check; a NaN exponent fails the range test
+    if math.isfinite(np.add.reduce(w, axis=None) + np.add.reduce(lvals, axis=None)) and (
+        mu is None or np.maximum.reduce(np.abs(mu), axis=None) <= MU_LIMIT
     ):
         return None
+    all_, rows = np.logical_and.reduce, lvals.size // lvals.shape[-1]
+    lvals, w, mu = (a.reshape(rows, -1) for a in (lvals, w, np.zeros(rows) if mu is None else mu))
     loss_ok = all_(np.isfinite(lvals), axis=-1)
     finite = all_(np.isfinite(w), axis=-1) & all_(np.isfinite(mu), axis=-1)
-    in_range = max_(np.abs(mu), axis=-1) <= MU_LIMIT
-    return [
+    in_range = np.maximum.reduce(np.abs(mu), axis=-1) <= MU_LIMIT
+    faults = [
         NON_FINITE_LOSS if not loss else NON_FINITE_STATE if not state else OUT_OF_RANGE if not rng else None
         for loss, state, rng in zip(loss_ok, finite, in_range)
     ]
+    return faults if any(faults) else None
 
 
 def run_training(config: ExperimentConfig, seed: int) -> RunResult:
@@ -445,7 +462,8 @@ class InitSweepReport:
     raw exponent distances would not. Clustering is greedy: an endpoint
     joins the first cluster whose representative (its first member)
     lies within ``threshold`` in max-norm over the weights, otherwise
-    it opens a new cluster.
+    it opens a new cluster. Only the runs that did not diverge are
+    clustered, as only they are in the grid and seed-study statistics.
     """
 
     entries: list[InitSweepEntry]
@@ -485,6 +503,8 @@ def run_init_sweep(config: ExperimentConfig, epsilons=None) -> InitSweepReport:
     clusters: list[list[int]] = []
     reps: list[np.ndarray] = []
     for i, entry in enumerate(entries):
+        if entry.diverged:  # a diverged run has no endpoint to cluster
+            continue
         for j, rep in enumerate(reps):
             if float(np.max(np.abs(entry.final_lam - rep))) <= config.cluster_threshold:
                 clusters[j].append(i)

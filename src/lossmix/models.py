@@ -32,11 +32,14 @@ with ``Design.take``, and every model method takes a ``Design``.
 Losses and gradients also take a stack of runs: parameters ``(R, P)``
 and weights ``(R, K+1)`` give one result row per run, and the batch
 arrays gain the same leading run axis. A split without the run axis,
-such as the validation split, is shared by every run of the stack.
+such as the validation split, is shared by every run of the stack, and
+in the same way a ``(G, ...)`` batch is shared by every tile of
+``(tiles, G, P)`` parameters.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -296,10 +299,12 @@ class ConsistencyMLPModel:
         params = self._unpack(w)
         w1, b1, w2, b2, _, _ = params
         a1 = self._hidden(w1, b1, x)
-        logits = a1 @ w2 + b2[..., None, :]
-        zs = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+        logits = a1 @ w2
+        logits += b2[..., None, :]
+        # two classes: the max and the sum elementwise, bitwise what the reductions give at a fraction of the cost
+        zs = logits - np.maximum(logits[..., :1], logits[..., 1:])
         ez = np.exp(zs)
-        return params, a1, zs, ez, np.add.reduce(ez, axis=-1, keepdims=True)
+        return params, a1, zs, ez, ez[..., :1] + ez[..., 1:]
 
     def _forward(self, w: np.ndarray, batch: Design):
         """Both passes and all three heads, everything the losses and the gradient read.
@@ -420,8 +425,9 @@ class BatchSampler:
 
     ``rows`` is a split, a ``Design``; a batch is its ``take`` of the
     batch's indices. ``rng`` is one generator, or a sequence of them for
-    a stack of runs: each run then shuffles with its own generator, and
-    batches gain a leading run axis. The runs share the cursor, so the
+    a stack of runs: each generator then shuffles for itself, and
+    batches gain a leading axis, one entry per generator, which runs
+    that share a seed can share. The generators share the cursor, so the
     short last batch of an epoch (when ``batch_size`` does not divide
     the split) is equally short for all of them.
 
@@ -458,7 +464,10 @@ class BatchSampler:
         idx = self._order[:, start : self._cursor]
         return self.rows.take(idx if self._stacked else idx[0])
 
-    def keep(self, runs: np.ndarray) -> None:
-        """Go on with only the runs of the stack where ``runs`` is True."""
-        self._rngs = [rng for rng, kept in zip(self._rngs, runs) if kept]
-        self._order = self._order[runs]
+    def select(self, rows) -> None:
+        """Go on with one stream per entry of ``rows``: a copy of the generator and the epochs at that index.
+
+        An index given twice gives two equal streams, each with its own generator.
+        """
+        self._rngs = [copy.deepcopy(self._rngs[i]) for i in rows]
+        self._order = self._order[rows]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import lossmix.cli
 from lossmix import harness, losses, models, optim
-from lossmix.config import ConfigError, ExperimentConfig
+from lossmix.config import ConfigError, ExperimentConfig, load_config
 from lossmix.harness import (
     GridPointResult,
     GridSearchResult,
@@ -103,9 +103,16 @@ def same_values(a, b):
     )
 
 
-def rows_close(a, b, tol=1e-12):
-    """Same shape, and every recorded value (step numbers included) equal within ``tol`` relative."""
-    return a.shape == b.shape and np.allclose(a, b, rtol=tol, atol=tol)
+def same_run(a, b):
+    """Bitwise the same trajectory, divergence step and reason."""
+    return (
+        np.array_equal(a.rows, b.rows)
+        and (a.diverged, a.diverged_step, a.diverged_reason) == (b.diverged, b.diverged_step, b.diverged_reason)
+    )
+
+
+# the two model kinds at small sizes, for tests that hold for both
+SMALL_SPECS = (small_config().model, ToyModelSpec(kind=MLP_KIND, n_features=6, hidden_units=5))
 
 
 class TestRunTraining:
@@ -336,13 +343,55 @@ class TestStackedEngine:
         for run, seed in zip(stacked, seeds):
             alone = run_training(cfg, seed)
             assert not run.diverged and not alone.diverged
-            assert rows_close(run.rows, alone.rows)
+            assert same_run(run, alone)
 
     def test_ragged_last_batch_matches_single_runs(self):
         cfg = small_config(n_train=30, batch_size=8)  # epochs of 8, 8, 8, 6
         stacked = run_seed_study(replace(cfg, seeds=(0, 1))).runs
         for run in stacked:
-            assert rows_close(run.rows, run_training(cfg, run.seed).rows)
+            assert same_run(run, run_training(cfg, run.seed))
+
+    def test_seeds_that_do_not_tile_match_single_runs(self):
+        seeds, epsilons = (0, 0, 1), (0.1, 1.0, 0.1)
+        for spec in SMALL_SPECS:
+            cfg = small_config(model=spec)
+            for run, seed, eps in zip(_train_stack(cfg, seeds, epsilons), seeds, epsilons):
+                alone = run_training(replace(cfg, optimizer=replace(cfg.optimizer, init_epsilon=eps)), seed)
+                assert run.seed == seed and not run.diverged
+                assert same_run(run, alone)
+
+    def test_diverging_demo_grid_rows_match_single_runs(self):
+        """Rows of a shared-seed stack diverge one by one and the rest go on, each as it would alone."""
+        overrides = ["alpha=1.0", "record_every=10", "total_steps=500"]
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "demo.cfg", overrides)
+        grid = run_grid_search(cfg)
+        steps = [run.diverged_step for point in grid.points for run in point.runs if run.diverged]
+        assert 0 < len(steps) < 27 and len(set(steps)) > 1  # several divergences at different steps
+        for point in grid.points:
+            alone = replace(cfg, mode="fixed", fixed_weights=point.raw_point)
+            for run in point.runs:
+                assert same_run(run, run_training(alone, run.seed))
+
+    def test_shared_seeds_share_one_generator_and_one_batch(self, monkeypatch):
+        """A 9-point x 3-seed grid draws 3 initial parameter vectors and gathers (3, ...) batches."""
+        inits = counted(monkeypatch, LinearMultiLossModel, "init_params")
+        shapes = []
+        fused = LinearMultiLossModel.losses_and_gradient
+
+        def record(self, w, batch, lam):
+            shapes.append((w.shape, batch.inputs.shape))
+            return fused(self, w, batch, lam)
+
+        monkeypatch.setattr(LinearMultiLossModel, "losses_and_gradient", record)
+        axes = ((0.1, 0.3, 1.0), (0.1, 0.3, 1.0))
+        steps = small_config().optimizer.total_steps
+        run_grid_search(small_config(grid_axes=axes, seeds=(0, 1, 2)))
+        assert len(inits) == 3
+        assert set(shapes) == {((9, 3, 8), (3, 3, 8, 8))} and len(shapes) == steps
+        shapes.clear()
+        run_seed_study(small_config(seeds=(0, 1, 2, 3)))  # a seed study shares nothing: one row per seed
+        assert len(inits) == 7
+        assert set(shapes) == {((4, 8), (4, 3, 8, 8))}
 
     def test_diverging_row_leaves_the_others_bitwise_unchanged(self):
         # a raw weight of 1e305 puts its exponent past MU_LIMIT, so those runs diverge at
@@ -371,26 +420,26 @@ class TestStackedEngine:
 
 
     def test_init_sweep_rows_match_learned_runs(self):
-        cfg = small_config(epsilon_sweep=(0.001, 0.1, 1.0, 10.0), seeds=(3,))
-        report = run_init_sweep(cfg)
-        for eps, run in zip(cfg.epsilon_sweep, report.runs):
-            alone = run_training(replace(cfg, optimizer=replace(cfg.optimizer, init_epsilon=eps)), 3)
-            assert run.seed == 3 and run.mode == "learned"
-            assert run.diverged == alone.diverged
-            assert rows_close(run.rows, alone.rows)
+        for spec in SMALL_SPECS:
+            cfg = small_config(model=spec, epsilon_sweep=(0.001, 0.1, 1.0, 10.0), seeds=(3,))
+            report = run_init_sweep(cfg)
+            for eps, run in zip(cfg.epsilon_sweep, report.runs):
+                alone = run_training(replace(cfg, optimizer=replace(cfg.optimizer, init_epsilon=eps)), 3)
+                assert run.seed == 3 and run.mode == "learned"
+                assert same_run(run, alone)
 
     def test_grid_rows_match_fixed_runs(self):
-        cfg = small_config(grid_axes=((0.1, 1.0, 3.0), (0.25, 2.0)), seeds=(0, 1, 4))
-        grid = run_grid_search(cfg)
-        assert len(grid.points) == 6
-        for point in grid.points:
-            alone = replace(cfg, mode="fixed", fixed_weights=point.raw_point)
-            for run, seed in zip(point.runs, cfg.seeds):
-                single = run_training(alone, seed)
-                assert run.seed == seed and run.mode == "fixed"
-                assert np.array_equal(run.fixed_weights, single.fixed_weights)
-                assert run.diverged == single.diverged
-                assert rows_close(run.rows, single.rows)
+        for spec in SMALL_SPECS:
+            cfg = small_config(model=spec, grid_axes=((0.1, 1.0, 3.0), (0.25, 2.0)), seeds=(0, 1, 4))
+            grid = run_grid_search(cfg)
+            assert len(grid.points) == 6
+            for point in grid.points:
+                alone = replace(cfg, mode="fixed", fixed_weights=point.raw_point)
+                for run, seed in zip(point.runs, cfg.seeds):
+                    single = run_training(alone, seed)
+                    assert run.seed == seed and run.mode == "fixed"
+                    assert np.array_equal(run.fixed_weights, single.fixed_weights)
+                    assert same_run(run, single)
 
 
 LOSS, STATE, RANGE = "non-finite loss", "non-finite state after update", "exponent left the representable range"
@@ -424,6 +473,28 @@ class TestFaults:
     )
     def test_reason_per_row(self, rows, expected):
         assert _faults(*fault_case(*rows)) == expected
+
+    def test_finite_values_whose_sum_overflows_are_no_fault(self):
+        lvals, w, mu = fault_case((1.0, 1e308, 0.0), (1.0, 1e308, 0.0))
+        with np.errstate(over="ignore"):  # as in the engine
+            assert not np.isfinite(w.sum())
+            assert _faults(lvals, w, mu) is None
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([(1.0, 0.0, 750.0), (1.0, 0.0, np.nan)], None),
+            ([(1.0, 0.0, 750.0), (np.nan, 0.0, 0.0), (1.0, np.inf, 0.0)], [None, LOSS, STATE]),
+        ],
+    )
+    def test_no_exponents_skip_their_checks(self, rows, expected):
+        lvals, w, _ = fault_case(*rows)
+        assert _faults(lvals, w, None) == expected
+
+    def test_rows_on_two_leading_axes_come_in_row_order(self):
+        lvals, w, mu = fault_case((1.0, 0.0, 0.0), (1.0, 0.0, 750.0), (np.nan, 0.0, 0.0), (1.0, 0.0, 0.0))
+        tiled = (a.reshape((2, 2, -1)) for a in (lvals, w, mu))
+        assert _faults(*tiled) == [None, RANGE, LOSS, None]
 
 
 class TestSeedStudy:
@@ -604,6 +675,12 @@ class TestInitSweep:
     def test_requires_two_epsilons(self):
         with pytest.raises(ConfigError):
             run_init_sweep(small_config(), epsilons=(0.1,))
+
+    def test_diverged_runs_are_not_clustered(self):
+        cfg = small_config(epsilon_sweep=(0.001, 0.01, 1.0), optimizer=replace(small_config().optimizer, alpha=1e12))
+        report = run_init_sweep(cfg)
+        assert all(e.diverged for e in report.entries)
+        assert report.n_clusters == 0 and report.clusters == [] and report.representatives == []
 
 
 class TestExportImport:

@@ -390,7 +390,7 @@ class TestBatchSamplerDraws:
         expected = reference_batches(train, 8, theirs, True, 12, keep_at=keep_at, keep=keep)
         for step, want in enumerate(expected):
             if step == keep_at:
-                sampler.keep(keep)
+                sampler.select(np.flatnonzero(keep))
             assert_same_batch(sampler.next_batch(), want)
 
     @STACKS
@@ -415,8 +415,20 @@ class TestBatchSamplerDraws:
         expected = reference_batches(train, 8, theirs, True, 140, keep_at=keep_at, keep=keep)
         for step, want in enumerate(expected):
             if step == keep_at:
-                sampler.keep(keep)
+                sampler.select(np.flatnonzero(keep))
             assert_same_batch(sampler.next_batch(), want)
+
+    @pytest.mark.parametrize("select_at", [3, 100], ids=["first-block", "before-next-block"])
+    def test_select_repeated_index_gives_two_equal_streams(self, select_at):
+        """Rows that shared a generator go on as rows with their own generators, as if seeded apart."""
+        train, _ = make_synthetic_dataset(LIN, 3, 32, 4)  # the second draw block starts at step 128
+        sampler = BatchSampler(train, 8, stacked_gens((4, 9), True))
+        expected = reference_batches(train, 8, stacked_gens((4, 4, 9), True), True, 300)
+        for step, want in enumerate(expected):
+            if step == select_at:
+                sampler.select(np.array([0, 0, 1]))
+            rows = [0, 1, 2] if step >= select_at else [0, 2]
+            assert_same_batch(sampler.next_batch(), Design(want.inputs[rows], want.targets[rows]))
 
     @pytest.mark.parametrize("n_train", [DRAW_BLOCK, DRAW_BLOCK + 76])
     def test_long_epochs_draw_one_at_a_time(self, n_train):
