@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -66,6 +67,18 @@ def _trial_count(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {text}")
+    return int(text)
+
+
+def _tolerance(text: str) -> float:
+    if not 0.0 < float(text) < math.inf:  # NaN fails
+        raise argparse.ArgumentTypeError(f"a tolerance must be finite and > 0, got {text}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lossmix", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="log each run written")
@@ -73,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p.add_argument("--trials", type=_trial_count, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--model-trials", type=_trial_count, default=50)
-    p.add_argument("--model-tol", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--model-tol", type=_tolerance, default=1e-5)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", default=None, help="also write the report to this path")
 
     p = sub.add_parser("train", help="single training run")

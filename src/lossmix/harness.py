@@ -185,12 +185,12 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
     as a grid or an init sweep builds it, rows that share a seed share a
     generator and a ``(G, S, B, d)`` batch, broadcast over the
     ``(tiles, G, ...)`` state; each row still computes, bitwise, what it
-    would alone. Rows are flattened to ``seeds`` order only to record, in
-    ``_faults``' slow path and on a divergence.
+    would alone. Rows are flattened to ``seeds`` order only to record and
+    in ``_faults``' slow path.
 
     A run whose losses or new state are unusable at step t diverges at
-    t: it leaves the stack with its partial trajectory and reason, and
-    the other runs carry on as ``(R, ...)``, each with its own generator.
+    t with its partial trajectory and reason. Its row stays, reset to zeros
+    so the one-sum fault check stays finite, unread, its later faults ignored.
     """
     ocfg = config.optimizer
     model = build_model(config.model)
@@ -202,8 +202,7 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
     tiles = len(seeds) // len(distinct)
     if list(seeds) != distinct * tiles:
         distinct, tiles = list(seeds), 1
-    groups = len(distinct)  # G, the generators; every row has its own once the stack is (R, ...)
-    lead = (tiles, groups) if tiles > 1 else (groups,)
+    lead = (tiles, len(distinct)) if tiles > 1 else (len(distinct),)
     rngs = [np.random.default_rng(seed) for seed in distinct]
     w = np.broadcast_to(np.stack([model.init_params(rng) for rng in rngs]), lead + (model.n_params,)).copy()
     mu = mu0.reshape(lead + (n_terms,))
@@ -215,7 +214,6 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
     lam0 = _softmax(mu0)  # a fixed run trains on, and reports, its row of lam0
     lam = lam0.reshape(mu.shape)
 
-    live = np.arange(len(seeds))  # the stack's rows, as indices into ``seeds``
     n_records = -(-ocfg.total_steps // config.record_every)
     traj = np.empty((len(seeds), n_records, len(trajectory_columns(n_terms))))  # (R, T, C)
     k = 0  # record steps so far; a run that stops keeps the first k rows of its ``traj``
@@ -231,26 +229,21 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
 
             faults = _faults(lvals, state[0], state[3] if learned or t == 1 else None)  # a fixed mu never moves
             if faults is not None:
-                keep = np.array([fault is None for fault in faults])
-                stopped.update((int(r), (t, fault, k)) for r, fault in zip(live, faults) if fault)
-                live = live[keep]
-                if not live.size:
+                stopped.update((r, (t, fault, k)) for r, fault in enumerate(faults) if fault and r not in stopped)
+                if len(stopped) == len(seeds):
                     break
-                rows = np.flatnonzero(keep)
-                sampler.select(rows % groups)  # row r of the stack draws from generator r mod G
-                groups = live.size
-                state = tuple(a.reshape(keep.size, -1)[rows] for a in state)
-                lvals, lam = (a.reshape(keep.size, -1)[rows] for a in (lvals, lam))
+                dead = np.array([fault is not None for fault in faults]).reshape(lead + (1,))
+                state = tuple(np.where(dead, 0.0, a) for a in state)
             if learned:
                 lam = _softmax(state[3])
 
             if t % config.record_every == 0 or t == ocfg.total_steps:
-                w, mu, lv, lm = (a.reshape(live.size, -1) for a in (state[0], state[3], lvals, lam))
+                w, mu, lv, lm = (a.reshape(len(seeds), -1) for a in (state[0], state[3], lvals, lam))
                 val_basic = model.basic_loss(w, val)
-                reg = rho * _regularizer_value(lm, mu) if rho else np.zeros(live.size)
+                reg = rho * _regularizer_value(lm, mu) if rho else np.zeros(len(seeds))
                 composite = (lm * lv).sum(axis=-1)
-                block = (np.full(live.size, t), mu, lm, lv, composite, reg, val_basic)
-                traj[live, k] = np.column_stack(block)
+                block = (np.full(len(seeds), t), mu, lm, lv, composite, reg, val_basic)
+                traj[:, k] = np.column_stack(block)
                 k += 1
 
     wall = time.perf_counter() - started

@@ -34,12 +34,11 @@ and weights ``(R, K+1)`` give one result row per run, and the batch
 arrays gain the same leading run axis. A split without the run axis,
 such as the validation split, is shared by every run of the stack, and
 in the same way a ``(G, ...)`` batch is shared by every tile of
-``(tiles, G, P)`` parameters.
+``(tiles, G, P)`` parameters, diverged runs' rows included.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -429,7 +428,8 @@ class BatchSampler:
     batches gain a leading axis, one entry per generator, which runs
     that share a seed can share. The generators share the cursor, so the
     short last batch of an epoch (when ``batch_size`` does not divide
-    the split) is equally short for all of them.
+    the split) is equally short for all of them. A stack keeps all its
+    generators to its last step, those of runs that diverged included.
 
     Each generator shuffles ``max(1, DRAW_BLOCK // n)`` epochs at once,
     with one ``Generator.permuted`` call on rows of ``arange(n)``. On
@@ -463,11 +463,3 @@ class BatchSampler:
         self._cursor = min(start + self.batch_size, (start // n + 1) * n)  # a batch ends with its epoch
         idx = self._order[:, start : self._cursor]
         return self.rows.take(idx if self._stacked else idx[0])
-
-    def select(self, rows) -> None:
-        """Go on with one stream per entry of ``rows``: a copy of the generator and the epochs at that index.
-
-        An index given twice gives two equal streams, each with its own generator.
-        """
-        self._rngs = [copy.deepcopy(self._rngs[i]) for i in rows]
-        self._order = self._order[rows]

@@ -83,6 +83,19 @@ class TestGradcheckCommand:
         out, err = capsys.readouterr()
         assert out == "" and "a trial count must be >= 0" in err
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "a seed must be >= 0" in err
+
+    @pytest.mark.parametrize("option", ["--tol", "--model-tol"])
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf"])
+    def test_tolerance_not_finite_and_positive_is_a_usage_error(self, capsys, option, value):
+        """Such a check could never pass, so the command refuses it rather than report a failure."""
+        assert main(["gradcheck", option, value]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "a tolerance must be finite and > 0" in err
+
     def test_impossible_tolerance_fails(self, capsys):
         code = main(["gradcheck", "--trials", "5", "--model-trials", "2", "--tol", "1e-18", "--model-tol", "1e-18"])
         assert code == 1

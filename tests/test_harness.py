@@ -373,7 +373,10 @@ class TestStackedEngine:
                 assert same_run(run, run_training(alone, run.seed))
 
     def test_shared_seeds_share_one_generator_and_one_batch(self, monkeypatch):
-        """A 9-point x 3-seed grid draws 3 initial parameter vectors and gathers (3, ...) batches."""
+        """A 9-point x 3-seed grid draws 3 initial parameter vectors and gathers (3, ...) batches to its last step.
+
+        The demo grid at alpha 1 has rows that diverge; the stack keeps its layout all the same.
+        """
         inits = counted(monkeypatch, LinearMultiLossModel, "init_params")
         shapes = []
         fused = LinearMultiLossModel.losses_and_gradient
@@ -384,18 +387,39 @@ class TestStackedEngine:
 
         monkeypatch.setattr(LinearMultiLossModel, "losses_and_gradient", record)
         axes = ((0.1, 0.3, 1.0), (0.1, 0.3, 1.0))
-        steps = small_config().optimizer.total_steps
-        run_grid_search(small_config(grid_axes=axes, seeds=(0, 1, 2)))
-        assert len(inits) == 3
-        assert set(shapes) == {((9, 3, 8), (3, 3, 8, 8))} and len(shapes) == steps
+        demo = Path(__file__).parents[1] / "configs" / "demo.cfg"
+        diverging = load_config(demo, ["alpha=1.0", "record_every=10", "total_steps=500"])
+        for cfg in (small_config(grid_axes=axes, seeds=(0, 1, 2)), diverging):
+            inits.clear()
+            shapes.clear()
+            grid = run_grid_search(cfg)
+            d = cfg.model.n_features
+            assert len(inits) == 3
+            assert set(shapes) == {((9, 3, d), (3, 3, 8, d))} and len(shapes) == cfg.optimizer.total_steps
+        assert any(run.diverged for point in grid.points for run in point.runs)
         shapes.clear()
         run_seed_study(small_config(seeds=(0, 1, 2, 3)))  # a seed study shares nothing: one row per seed
         assert len(inits) == 7
         assert set(shapes) == {((4, 8), (4, 3, 8, 8))}
 
+    def test_stopped_rows_that_fault_again_keep_their_first_stop(self, monkeypatch):
+        """A learned row restarts from zeros when it stops and may fault again; the run keeps its first stop."""
+        found = []
+        check = harness._faults
+        monkeypatch.setattr(harness, "_faults", lambda *args: found.append(check(*args)) or found[-1])
+        demo = Path(__file__).parents[1] / "configs" / "demo.cfg"
+        cfg = load_config(demo, ["alpha=2.0", "total_steps=3000", "record_every=10"])
+        runs = run_seed_study(cfg).runs
+        assert sorted(run.diverged_step for run in runs) == [29, 699, 775]
+        row_faults = sum(fault is not None for faults in found if faults for fault in faults)
+        assert row_faults > len(runs)  # some stopped rows fault again after their restart
+        for run in runs:
+            assert run.rows.shape[0] == (run.diverged_step - 1) // 10
+            assert same_run(run, run_training(cfg, run.seed))
+
     def test_diverging_row_leaves_the_others_bitwise_unchanged(self):
         # a raw weight of 1e305 puts its exponent past MU_LIMIT, so those runs diverge at
-        # step 1 and the rows after them move up in the stack
+        # step 1; their rows stay in the stack and restart from zeros, unread
         with_bad = run_grid_search(small_config(grid_axes=((1e305, 0.25), (0.1,)), seeds=(0, 1)))
         without = run_grid_search(small_config(grid_axes=((0.25,), (0.1,)), seeds=(0, 1)))
         for run in with_bad.points[0].runs:

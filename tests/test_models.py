@@ -321,15 +321,12 @@ class TestBatchSampler:
             assert_same_batch(train.take(idx), fancy)
 
 
-def reference_batches(dataset, batch_size, rngs, stacked, steps, keep_at=None, keep=None):
-    """Batches as gathered one at a time from each epoch's permutation, with ``keep`` applied before step ``keep_at``."""
+def reference_batches(dataset, batch_size, rngs, stacked, steps):
+    """Batches as gathered one at a time from each epoch's permutation."""
     order = np.empty((len(rngs), 0), dtype=np.intp)
     cursor = 0
     out = []
-    for step in range(steps):
-        if step == keep_at:
-            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
-            order = order[keep]
+    for _ in range(steps):
         if cursor >= order.shape[1]:
             order = np.stack([rng.permutation(len(dataset)) for rng in rngs])
             cursor = 0
@@ -380,19 +377,6 @@ class TestBatchSamplerDraws:
         for a, b in zip(mine if stacked else [mine], theirs if stacked else [theirs]):
             assert a.bit_generator.state == b.bit_generator.state
 
-    @pytest.mark.parametrize("keep_at", [3, 4, 7], ids=["mid-epoch", "epoch-end", "before-ragged-design"])
-    def test_keep_matches_reference(self, keep_at):
-        train, _ = make_synthetic_dataset(LIN, 3, 30, 4)  # batches of 8, 8, 8, 6
-        keep = np.array([True, False, True])
-        mine = [np.random.default_rng(s) for s in (4, 9, 11)]
-        theirs = [np.random.default_rng(s) for s in (4, 9, 11)]
-        sampler = BatchSampler(train, 8, mine)
-        expected = reference_batches(train, 8, theirs, True, 12, keep_at=keep_at, keep=keep)
-        for step, want in enumerate(expected):
-            if step == keep_at:
-                sampler.select(np.flatnonzero(keep))
-            assert_same_batch(sampler.next_batch(), want)
-
     @STACKS
     def test_batches_match_reference_across_draw_blocks(self, stacked):
         train, _ = make_synthetic_dataset(LIN, 3, 32, 4)  # 32 epochs of 4 batches per draw block
@@ -405,30 +389,6 @@ class TestBatchSamplerDraws:
         finish_draw_block(theirs if stacked else [theirs], 32, 35)
         for a, b in zip(mine if stacked else [mine], theirs if stacked else [theirs]):
             assert a.bit_generator.state == b.bit_generator.state
-
-    @pytest.mark.parametrize("keep_at", [127, 128, 131], ids=["block-end", "block-start-design", "next-block"])
-    def test_keep_across_draw_blocks(self, keep_at):
-        train, _ = make_synthetic_dataset(LIN, 3, 32, 4)  # the second draw block starts at step 128
-        keep = np.array([False, True, True])
-        mine, theirs = stacked_gens((4, 9, 11), True), stacked_gens((4, 9, 11), True)
-        sampler = BatchSampler(train, 8, mine)
-        expected = reference_batches(train, 8, theirs, True, 140, keep_at=keep_at, keep=keep)
-        for step, want in enumerate(expected):
-            if step == keep_at:
-                sampler.select(np.flatnonzero(keep))
-            assert_same_batch(sampler.next_batch(), want)
-
-    @pytest.mark.parametrize("select_at", [3, 100], ids=["first-block", "before-next-block"])
-    def test_select_repeated_index_gives_two_equal_streams(self, select_at):
-        """Rows that shared a generator go on as rows with their own generators, as if seeded apart."""
-        train, _ = make_synthetic_dataset(LIN, 3, 32, 4)  # the second draw block starts at step 128
-        sampler = BatchSampler(train, 8, stacked_gens((4, 9), True))
-        expected = reference_batches(train, 8, stacked_gens((4, 4, 9), True), True, 300)
-        for step, want in enumerate(expected):
-            if step == select_at:
-                sampler.select(np.array([0, 0, 1]))
-            rows = [0, 1, 2] if step >= select_at else [0, 2]
-            assert_same_batch(sampler.next_batch(), Design(want.inputs[rows], want.targets[rows]))
 
     @pytest.mark.parametrize("n_train", [DRAW_BLOCK, DRAW_BLOCK + 76])
     def test_long_epochs_draw_one_at_a_time(self, n_train):
