@@ -61,22 +61,20 @@ def _add_config_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or config out_dir)")
 
 
-def _trial_count(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"a trial count must be >= 0, got {text}")
-    return int(text)
+def _checked(convert, name: str, rule: str, ok):
+    """An argparse type: ``convert`` the text, require ``ok`` of it; each rejection says what was expected."""
+    kind = "an integer" if convert is int else "a number"
 
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be {kind}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text}")
+        return value
 
-def _seed(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {text}")
-    return int(text)
-
-
-def _tolerance(text: str) -> float:
-    if not 0.0 < float(text) < math.inf:  # NaN fails
-        raise argparse.ArgumentTypeError(f"a tolerance must be finite and > 0, got {text}")
-    return float(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,12 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log each run written")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    trial_count = _checked(int, "a trial count", ">= 0", lambda n: n >= 0)
+    tolerance = _checked(float, "a tolerance", "finite and > 0", lambda x: 0.0 < x < math.inf)  # NaN fails
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--trials", type=_trial_count, default=100)
-    p.add_argument("--tol", type=_tolerance, default=1e-6)
-    p.add_argument("--model-trials", type=_trial_count, default=50)
-    p.add_argument("--model-tol", type=_tolerance, default=1e-5)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--trials", type=trial_count, default=100)
+    p.add_argument("--tol", type=tolerance, default=1e-6)
+    p.add_argument("--model-trials", type=trial_count, default=50)
+    p.add_argument("--model-tol", type=tolerance, default=1e-5)
+    p.add_argument("--seed", type=_checked(int, "a seed", ">= 0", lambda n: n >= 0), default=0)
     p.add_argument("--json", default=None, help="also write the report to this path")
 
     p = sub.add_parser("train", help="single training run")

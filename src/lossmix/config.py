@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ConfigError(f"optimizer must be one of {OPTIMIZER_KINDS}, got {self.optimizer_kind!r}")
         if self.mode == "fixed" and not self.fixed_weights:
             raise ConfigError("fixed mode requires fixed_weights")
+        if not all(self.grid_axes):
+            raise ConfigError(f"grid_axes must not have an empty axis, got {self.grid_axes!r}")
         axes = [("grid_axes", axis) for axis in self.grid_axes]
         for name, values in [("fixed_weights", self.fixed_weights), ("epsilon_sweep", self.epsilon_sweep), *axes]:
             if not all(0.0 < v < math.inf for v in values):

@@ -4,11 +4,12 @@ Every run is a deterministic function of (config, seed): the run seed
 drives parameter initialization and batch shuffling, the data seed the
 dataset. Every driver makes one call to the same engine, which trains
 all of its runs together on leading run axes; a single run is a stack
-of one. A stack is one config plus a seed and a start per run: the
-run's ``init_epsilon`` in learned mode, its raw fixed weights in fixed
-mode. Fixed-weight runs skip the exponent gradient, the regularizer
-and the exponents' optimizer step, so their weights never move; this
-makes a one-point grid bitwise identical to a fixed run.
+of one. A stack is the config's seeds times a list of starts, one run
+per (start, seed) pair; a start is a run's ``init_epsilon`` in learned
+mode, its raw fixed weights in fixed mode. Fixed-weight runs skip the
+exponent gradient, the regularizer and the exponents' optimizer step,
+so their weights never move; this makes a one-point grid bitwise
+identical to a fixed run.
 """
 
 from __future__ import annotations
@@ -161,32 +162,31 @@ def _own_start(config: ExperimentConfig):
     return config.optimizer.init_epsilon if config.mode == "learned" else config.fixed_weights
 
 
-def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
-    """Train one run of ``config`` per (seed, start) pair, all of them together.
+def _train_stack(config: ExperimentConfig, starts) -> list[list[RunResult]]:
+    """Train every start on every seed of ``config.seeds``, all runs together.
 
+    Returns one list of runs per start, each in ``config.seeds`` order.
     The runs share every setting of ``config``, so a stack cannot mix
-    settings; each run has its own seed and its own start, the value
-    :func:`_start` reads for the mode. The runs sit on leading axes, and
-    their state is plain arrays:
-    ``w, m, v`` of shape ``(R, P)``, ``mu, n, u`` of shape ``(R, K+1)``,
-    and the weights ``lam``, computed once per exponent state. Both
-    splits come from ``make_synthetic_dataset`` already laid out as the
-    model's ``Design``, and the sampler gathers from the training split
-    as it is. Each step gathers a mini-batch per seed, evaluates the
-    per-term losses and the parameter gradient under ``lam`` in one
-    forward pass and, in learned mode, the exponent gradient, then
-    applies the joint update (``optim._advance``; to the parameters
-    alone in fixed mode). The loop builds no value object and re-checks
-    no input; ``_faults`` checks each new state. Each seed's generator
-    draws its initial parameters and then its epochs' permutations,
-    several epochs per draw (``BatchSampler``), as a lone run would.
+    settings; a start is the value :func:`_start` reads for the mode.
+    With ``tiles = len(starts)`` starts over G seeds the runs sit on
+    leading axes ``(tiles, G)``, or ``(G,)`` for one start, and their
+    state is plain arrays: ``w, m, v`` of shape ``(..., P)``, ``mu, n, u``
+    of shape ``(..., K+1)``, and the weights ``lam``, computed once per
+    exponent state. Both splits come from ``make_synthetic_dataset``
+    already laid out as the model's ``Design``, and the sampler gathers
+    from the training split as it is. Each step gathers one
+    ``(G, S, B, d)`` mini-batch, a batch per seed broadcast over the
+    starts, evaluates the per-term losses and the parameter gradient
+    under ``lam`` in one forward pass and, in learned mode, the exponent
+    gradient, then applies the joint update (``optim._advance``; to the
+    parameters alone in fixed mode). The loop builds no value object and
+    re-checks no input; ``_faults`` checks each new state. Each seed's
+    generator draws its initial parameters and then its epochs'
+    permutations, several epochs per draw (``BatchSampler``), as a lone
+    run would, so each row computes, bitwise, what it would alone.
     Validation (only the basic loss, on the held-out split) is evaluated
-    at every recorded step. When ``seeds`` is G distinct seeds repeated,
-    as a grid or an init sweep builds it, rows that share a seed share a
-    generator and a ``(G, S, B, d)`` batch, broadcast over the
-    ``(tiles, G, ...)`` state; each row still computes, bitwise, what it
-    would alone. Rows are flattened to ``seeds`` order only to record and
-    in ``_faults``' slow path.
+    at every recorded step. Rows are flattened, start-major, only to
+    record and in ``_faults``' slow path.
 
     A run whose losses or new state are unusable at step t diverges at
     t with its partial trajectory and reason. Its row stays, reset to zeros
@@ -196,14 +196,11 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
     model = build_model(config.model)
     train, val = make_synthetic_dataset(config.model, config.data_seed, config.n_train, config.n_val)
     n_terms = len(model.loss_names)
-    mu0 = np.stack([_start(config.mode, start, n_terms) for start in starts])  # (R, K+1), in ``seeds`` order
-
-    distinct = list(dict.fromkeys(seeds))
-    tiles = len(seeds) // len(distinct)
-    if list(seeds) != distinct * tiles:
-        distinct, tiles = list(seeds), 1
-    lead = (tiles, len(distinct)) if tiles > 1 else (len(distinct),)
-    rngs = [np.random.default_rng(seed) for seed in distinct]
+    seeds = tuple(config.seeds)
+    n_rows = len(starts) * len(seeds)
+    lead = (len(starts), len(seeds)) if len(starts) > 1 else (len(seeds),)
+    mu0 = np.repeat([_start(config.mode, start, n_terms) for start in starts], len(seeds), axis=0)  # (R, K+1)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     w = np.broadcast_to(np.stack([model.init_params(rng) for rng in rngs]), lead + (model.n_params,)).copy()
     mu = mu0.reshape(lead + (n_terms,))
     state = (w, np.zeros_like(w), np.zeros_like(w), mu, np.zeros_like(mu), np.zeros_like(mu))  # w, m, v, mu, n, u
@@ -215,7 +212,7 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
     lam = lam0.reshape(mu.shape)
 
     n_records = -(-ocfg.total_steps // config.record_every)
-    traj = np.empty((len(seeds), n_records, len(trajectory_columns(n_terms))))  # (R, T, C)
+    traj = np.empty((n_rows, n_records, len(trajectory_columns(n_terms))))  # (R, T, C)
     k = 0  # record steps so far; a run that stops keeps the first k rows of its ``traj``
     stopped: dict[int, tuple[int, str, int]] = {}  # run -> (step, reason, k)
     started = time.perf_counter()
@@ -230,7 +227,7 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
             faults = _faults(lvals, state[0], state[3] if learned or t == 1 else None)  # a fixed mu never moves
             if faults is not None:
                 stopped.update((r, (t, fault, k)) for r, fault in enumerate(faults) if fault and r not in stopped)
-                if len(stopped) == len(seeds):
+                if len(stopped) == n_rows:
                     break
                 dead = np.array([fault is not None for fault in faults]).reshape(lead + (1,))
                 state = tuple(np.where(dead, 0.0, a) for a in state)
@@ -238,16 +235,16 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
                 lam = _softmax(state[3])
 
             if t % config.record_every == 0 or t == ocfg.total_steps:
-                w, mu, lv, lm = (a.reshape(len(seeds), -1) for a in (state[0], state[3], lvals, lam))
+                w, mu, lv, lm = (a.reshape(n_rows, -1) for a in (state[0], state[3], lvals, lam))
                 val_basic = model.basic_loss(w, val)
-                reg = rho * _regularizer_value(lm, mu) if rho else np.zeros(len(seeds))
+                reg = rho * _regularizer_value(lm, mu) if rho else np.zeros(n_rows)
                 composite = (lm * lv).sum(axis=-1)
-                block = (np.full(len(seeds), t), mu, lm, lv, composite, reg, val_basic)
+                block = (np.full(n_rows, t), mu, lm, lv, composite, reg, val_basic)
                 traj[:, k] = np.column_stack(block)
                 k += 1
 
     wall = time.perf_counter() - started
-    return [
+    runs = [
         RunResult(
             seed=seed,
             mode=config.mode,
@@ -259,8 +256,9 @@ def _train_stack(config: ExperimentConfig, seeds, starts) -> list[RunResult]:
             diverged_reason=stopped[r][1] if r in stopped else None,
             wall_time=wall,
         )
-        for r, seed in enumerate(seeds)
+        for r, seed in enumerate(seeds * len(starts))
     ]
+    return [runs[i : i + len(seeds)] for i in range(0, n_rows, len(seeds))]
 
 
 def _faults(lvals: np.ndarray, w: np.ndarray, mu: np.ndarray | None) -> list[str | None] | None:
@@ -295,7 +293,7 @@ def run_training(config: ExperimentConfig, seed: int) -> RunResult:
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    return _train_stack(config, [seed], [_own_start(config)])[0]
+    return _train_stack(replace(config, seeds=(seed,)), [_own_start(config)])[0][0]
 
 
 def _sample_std(vals: np.ndarray) -> float:
@@ -366,17 +364,9 @@ def grid_points(config: ExperimentConfig) -> list[tuple[float, ...]]:
 def run_grid_search(config: ExperimentConfig) -> GridSearchResult:
     """One fixed-weight run per grid point per seed, all in one stack; divergence is recorded, not fatal."""
     raws = grid_points(config)
-    if not raws:
-        raise ConfigError("grid is empty")
-    seeds = tuple(config.seeds)
-    runs = _train_stack(
-        replace(config, mode="fixed", fixed_weights=raws[0]),
-        [seed for _ in raws for seed in seeds],
-        [raw for raw in raws for _ in seeds],
-    )
-    groups = [runs[i * len(seeds) : (i + 1) * len(seeds)] for i in range(len(raws))]
+    groups = _train_stack(replace(config, mode="fixed", fixed_weights=raws[0]), raws)
     points = [GridPointResult(raw, group[0].fixed_weights, group) for raw, group in zip(raws, groups)]
-    return GridSearchResult(points=points, seeds=seeds)
+    return GridSearchResult(points=points, seeds=tuple(config.seeds))
 
 
 @dataclass
@@ -409,7 +399,7 @@ def run_seed_study(config: ExperimentConfig) -> SeedStudyReport:
     seeds = tuple(config.seeds)
     if len(seeds) < 2:
         raise ConfigError("seed study needs at least 2 seeds")
-    runs = _train_stack(config, seeds, [_own_start(config)] * len(seeds))
+    [runs] = _train_stack(config, [_own_start(config)])
     kept = [r for r in runs if not r.diverged]
     n_terms = runs[0].initial_mu.size
     # kept runs share the record steps, the last of which is the final step
@@ -475,7 +465,8 @@ def run_init_sweep(config: ExperimentConfig, epsilons=None) -> InitSweepReport:
     epsilons = tuple(epsilons if epsilons is not None else config.epsilon_sweep)
     if len(epsilons) < 2:
         raise ConfigError("init sweep needs at least 2 epsilon values")
-    results = _train_stack(replace(config, mode="learned"), [config.seeds[0]] * len(epsilons), epsilons)
+    stack = _train_stack(replace(config, mode="learned", seeds=config.seeds[:1]), epsilons)
+    results = [runs[0] for runs in stack]
 
     entries = []
     for eps, result in zip(epsilons, results):

@@ -96,6 +96,17 @@ class TestGradcheckCommand:
         out, err = capsys.readouterr()
         assert out == "" and "a tolerance must be finite and > 0" in err
 
+    @pytest.mark.parametrize(
+        "option, value, expected",
+        [("--trials", "1.5", "a trial count must be an integer"), ("--tol", "abc", "a tolerance must be a number"),
+         ("--seed", "x", "a seed must be an integer")],
+    )
+    def test_unparsable_value_is_a_usage_error_that_says_what_was_expected(self, capsys, option, value, expected):
+        assert main(["gradcheck", option, value]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and expected in err
+        assert not any(name in err for name in ("_trial_count", "_tolerance", "_seed"))
+
     def test_impossible_tolerance_fails(self, capsys):
         code = main(["gradcheck", "--trials", "5", "--model-trials", "2", "--tol", "1e-18", "--model-tol", "1e-18"])
         assert code == 1
@@ -179,6 +190,7 @@ class TestTrainCommand:
             ("train", ["--override", "mode=fixed", "--override", "fixed_weights=1,inf,1"]),
             ("grid", ["--override", "grid_axes=0.1,nan ; 1"]),
             ("grid", ["--override", "grid_axes=0.1 ; inf"]),
+            ("train", ["--override", "grid_axes=0.1; ,"]),
             ("seed-study", ["--override", "seeds=0,-1"]),
             ("seed-study", ["--override", "seeds=0,0"]),
             ("grid", ["--override", "seeds=1,1"]),
@@ -196,8 +208,8 @@ class TestTrainCommand:
             ("train", ["--override", "grad_clip=inf"]),
             ("train", ["--override", "noise_std=nan"]),
         ],
-        ids=["fixed-nan", "fixed-inf", "grid-nan", "grid-inf", "negative-seed", "duplicate-study-seeds",
-             "duplicate-grid-seeds", "negative-data-seed",
+        ids=["fixed-nan", "fixed-inf", "grid-nan", "grid-inf", "empty-grid-axis", "negative-seed",
+             "duplicate-study-seeds", "duplicate-grid-seeds", "negative-data-seed",
              "train-seed", "negative-epsilon", "nan-hp-decay", "nan-weight-decay", "zero-adam-eps",
              "negative-adam-eps", "negative-schedule-factor", "inf-alpha", "nan-grad-clip", "inf-grad-clip",
              "nan-noise-std"],

@@ -163,6 +163,14 @@ class TestLoad:
         with pytest.raises(OSError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_empty_grid_axis_rejected(self, tmp_path):
+        """An axis with no values would make an empty grid; the config refuses it, for every command."""
+        path = tmp_path / "exp.cfg"
+        path.write_text(FULL)
+        assert parse_config_text("grid_axes = 0.1; ,")["grid_axes"] == ((0.1,), ())
+        with pytest.raises(ConfigError, match="grid_axes must not have an empty axis"):
+            load_config(path, ["grid_axes=0.1; ,"])
+
 
 # config key -> the field it sets, where the names differ
 RENAMED = {

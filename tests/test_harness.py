@@ -351,13 +351,20 @@ class TestStackedEngine:
         for run in stacked:
             assert same_run(run, run_training(cfg, run.seed))
 
-    def test_seeds_that_do_not_tile_match_single_runs(self):
-        seeds, epsilons = (0, 0, 1), (0.1, 1.0, 0.1)
-        for spec in SMALL_SPECS:
-            cfg = small_config(model=spec)
-            for run, seed, eps in zip(_train_stack(cfg, seeds, epsilons), seeds, epsilons):
+    @pytest.mark.parametrize("starts", [(0.1,), (0.1, 1.0, 0.01)], ids=["one-start", "three-starts"])
+    def test_one_list_of_runs_per_start_in_seed_order(self, monkeypatch, starts):
+        """Every start runs on every seed; each start's exponents are computed once, not once per run."""
+        calls = []
+        start = harness._start
+        monkeypatch.setattr(harness, "_start", lambda *args: calls.append(1) or start(*args))
+        cfg = small_config(seeds=(4, 0, 2), optimizer=replace(small_config().optimizer, total_steps=20))
+        stack = _train_stack(cfg, starts)
+        assert len(stack) == len(calls) == len(starts)
+        for runs, eps in zip(stack, starts):
+            assert [run.seed for run in runs] == [4, 0, 2]
+            for run, seed in zip(runs, cfg.seeds):
+                assert np.array_equal(run.initial_mu, [0.0, math.log(eps), math.log(eps)])
                 alone = run_training(replace(cfg, optimizer=replace(cfg.optimizer, init_epsilon=eps)), seed)
-                assert run.seed == seed and not run.diverged
                 assert same_run(run, alone)
 
     def test_diverging_demo_grid_rows_match_single_runs(self):
@@ -375,7 +382,8 @@ class TestStackedEngine:
     def test_shared_seeds_share_one_generator_and_one_batch(self, monkeypatch):
         """A 9-point x 3-seed grid draws 3 initial parameter vectors and gathers (3, ...) batches to its last step.
 
-        The demo grid at alpha 1 has rows that diverge; the stack keeps its layout all the same.
+        The demo grid at alpha 1 has rows that diverge; the stack keeps its layout all the same. An init
+        sweep's epsilons share its one seed's draw and batch.
         """
         inits = counted(monkeypatch, LinearMultiLossModel, "init_params")
         shapes = []
@@ -397,9 +405,16 @@ class TestStackedEngine:
             assert len(inits) == 3
             assert set(shapes) == {((9, 3, d), (3, 3, 8, d))} and len(shapes) == cfg.optimizer.total_steps
         assert any(run.diverged for point in grid.points for run in point.runs)
+        inits.clear()
+        shapes.clear()
+        cfg = small_config(epsilon_sweep=(0.001, 0.1, 1.0, 10.0), seeds=(3, 5))
+        run_init_sweep(cfg)  # 4 epsilons on the first seed: one draw, batches of one seed
+        assert len(inits) == 1
+        assert set(shapes) == {((4, 1, 8), (1, 3, 8, 8))} and len(shapes) == cfg.optimizer.total_steps
+        inits.clear()
         shapes.clear()
         run_seed_study(small_config(seeds=(0, 1, 2, 3)))  # a seed study shares nothing: one row per seed
-        assert len(inits) == 7
+        assert len(inits) == 4
         assert set(shapes) == {((4, 8), (4, 3, 8, 8))}
 
     def test_stopped_rows_that_fault_again_keep_their_first_stop(self, monkeypatch):
