@@ -2,7 +2,9 @@
 
 The file format is one assignment per line, ``#`` comments, blank lines
 ignored. List values are comma-separated; grid axes are semicolon-
-separated lists. Unknown keys are rejected so typos fail loudly.
+separated lists. An empty value is an empty list, and a blank entry in
+a list (``0,,1`` or a trailing ``,``) is an error. Unknown keys are
+rejected so typos fail loudly.
 Overrides are ``key=value`` strings applied after the file, last one
 wins per key.
 
@@ -31,16 +33,24 @@ class ConfigError(ValueError):
     """Bad config file, unknown key, or invalid value."""
 
 
+def _entries(s: str, sep: str) -> list[str]:
+    """The ``sep``-separated entries of ``s``: none for an empty value, ``ValueError`` for a blank one."""
+    entries = s.split(sep) if s.strip() else []
+    if not all(entry.strip() for entry in entries):
+        raise ValueError(f"blank entry in {s!r}")
+    return entries
+
+
 def _floats(s: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in s.split(",") if v.strip())
+    return tuple(float(v) for v in _entries(s, ","))
 
 
 def _ints(s: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in s.split(",") if v.strip())
+    return tuple(int(v) for v in _entries(s, ","))
 
 
 def _axes(s: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(_floats(part) for part in s.split(";") if part.strip())
+    return tuple(_floats(part) for part in _entries(s, ";"))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,9 @@ __all__ = [
 
 # beyond this magnitude exp(mu) under/overflows and the weight mapping degenerates
 MU_LIMIT = 700.0
+# floats of parameters that record steps may hold back for validation; the pending records are scored
+# in one burst, away from the steps (their BLAS bursts slowed the steps that followed them)
+VAL_BLOCK = 65_536
 NON_FINITE_LOSS = "non-finite loss"
 NON_FINITE_STATE = "non-finite state after update"
 OUT_OF_RANGE = "exponent left the representable range"
@@ -184,8 +187,12 @@ def _train_stack(config: ExperimentConfig, starts) -> list[list[RunResult]]:
     generator draws its initial parameters and then its epochs'
     permutations, several epochs per draw (``BatchSampler``), as a lone
     run would, so each row computes, bitwise, what it would alone.
-    Validation (only the basic loss, on the held-out split) is evaluated
-    at every recorded step. Rows are flattened, start-major, only to
+    A record step writes every trajectory column but the validation
+    loss and keeps a copy of its ``(R, P)`` parameters. The pending
+    copies are scored (only the basic loss, on the held-out split, one
+    call per record as if at its step) once they fill ``VAL_BLOCK``
+    floats, and once more after the loop; a record of more than half
+    the budget is scored at its step. Rows are flattened, start-major, only to
     record and in ``_faults``' slow path.
 
     A run whose losses or new state are unusable at step t diverges at
@@ -214,6 +221,8 @@ def _train_stack(config: ExperimentConfig, starts) -> list[list[RunResult]]:
     n_records = -(-ocfg.total_steps // config.record_every)
     traj = np.empty((n_rows, n_records, len(trajectory_columns(n_terms))))  # (R, T, C)
     k = 0  # record steps so far; a run that stops keeps the first k rows of its ``traj``
+    pending: list[np.ndarray] = []  # the parameters of the last len(pending) records, not yet scored
+    block = max(1, VAL_BLOCK // (n_rows * model.n_params))  # records scored per burst
     stopped: dict[int, tuple[int, str, int]] = {}  # run -> (step, reason, k)
     started = time.perf_counter()
 
@@ -236,12 +245,14 @@ def _train_stack(config: ExperimentConfig, starts) -> list[list[RunResult]]:
 
             if t % config.record_every == 0 or t == ocfg.total_steps:
                 w, mu, lv, lm = (a.reshape(n_rows, -1) for a in (state[0], state[3], lvals, lam))
-                val_basic = model.basic_loss(w, val)
                 reg = rho * _regularizer_value(lm, mu) if rho else np.zeros(n_rows)
                 composite = (lm * lv).sum(axis=-1)
-                block = (np.full(n_rows, t), mu, lm, lv, composite, reg, val_basic)
-                traj[:, k] = np.column_stack(block)
+                traj[:, k, :-1] = np.column_stack((np.full(n_rows, t), mu, lm, lv, composite, reg))
+                pending.append(w.copy())
                 k += 1
+                if len(pending) == block:
+                    _score(model, val, pending, traj[:, k - block : k])
+        _score(model, val, pending, traj[:, k - len(pending) : k])
 
     wall = time.perf_counter() - started
     runs = [
@@ -259,6 +270,13 @@ def _train_stack(config: ExperimentConfig, starts) -> list[list[RunResult]]:
         for r, seed in enumerate(seeds * len(starts))
     ]
     return [runs[i : i + len(seeds)] for i in range(0, n_rows, len(seeds))]
+
+
+def _score(model, val, pending: list[np.ndarray], rows: np.ndarray) -> None:
+    """Write each pending record's validation loss into the last column of ``rows`` ``(R, n, C)``; empty ``pending``."""
+    for j, w in enumerate(pending):
+        rows[:, j, -1] = model.basic_loss(w, val)
+    pending.clear()
 
 
 def _faults(lvals: np.ndarray, w: np.ndarray, mu: np.ndarray | None) -> list[str | None] | None:

@@ -191,6 +191,7 @@ class TestTrainCommand:
             ("grid", ["--override", "grid_axes=0.1,nan ; 1"]),
             ("grid", ["--override", "grid_axes=0.1 ; inf"]),
             ("train", ["--override", "grid_axes=0.1; ,"]),
+            ("train", ["--override", "seeds=0,,1"]),
             ("seed-study", ["--override", "seeds=0,-1"]),
             ("seed-study", ["--override", "seeds=0,0"]),
             ("grid", ["--override", "seeds=1,1"]),
@@ -208,7 +209,7 @@ class TestTrainCommand:
             ("train", ["--override", "grad_clip=inf"]),
             ("train", ["--override", "noise_std=nan"]),
         ],
-        ids=["fixed-nan", "fixed-inf", "grid-nan", "grid-inf", "empty-grid-axis", "negative-seed",
+        ids=["fixed-nan", "fixed-inf", "grid-nan", "grid-inf", "empty-grid-axis", "blank-seed", "negative-seed",
              "duplicate-study-seeds", "duplicate-grid-seeds", "negative-data-seed",
              "train-seed", "negative-epsilon", "nan-hp-decay", "nan-weight-decay", "zero-adam-eps",
              "negative-adam-eps", "negative-schedule-factor", "inf-alpha", "nan-grad-clip", "inf-grad-clip",

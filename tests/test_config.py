@@ -64,6 +64,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("alpha 0.1")
 
+    @pytest.mark.parametrize(
+        "line", ["seeds = 0,,1", "grid_axes = 0.1;;0.3", "epsilon_sweep = 0.1,1,", "grid_axes = 0.1; ,"],
+        ids=["doubled-comma", "doubled-semicolon", "trailing-comma", "blank-axis"],
+    )
+    def test_blank_entry_reports_key_and_line(self, line):
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError, match=f"^<config>:2: bad value for '{key}': blank entry"):
+            parse_config_text("alpha = 0.1\n" + line)
+
+    def test_empty_value_is_an_empty_list(self):
+        assert parse_config_text("seeds =\ngrid_axes = \nepsilon_sweep =") == {
+            "seeds": (), "grid_axes": (), "epsilon_sweep": ()
+        }
+
 
 class TestBuild:
     def test_round_trip_nested_objects(self):
@@ -167,9 +181,10 @@ class TestLoad:
         """An axis with no values would make an empty grid; the config refuses it, for every command."""
         path = tmp_path / "exp.cfg"
         path.write_text(FULL)
-        assert parse_config_text("grid_axes = 0.1; ,")["grid_axes"] == ((0.1,), ())
+        with pytest.raises(ConfigError, match="bad override value for 'grid_axes': blank entry"):
+            load_config(path, ["grid_axes=0.1; ,"])  # text cannot spell an empty axis
         with pytest.raises(ConfigError, match="grid_axes must not have an empty axis"):
-            load_config(path, ["grid_axes=0.1; ,"])
+            build_config({"grid_axes": ((0.1,), ())})
 
 
 # config key -> the field it sets, where the names differ

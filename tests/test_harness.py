@@ -25,6 +25,7 @@ from lossmix.harness import (
     SeedStudyReport,
     TrajectoryRecord,
     _faults,
+    _score,
     _train_stack,
     export_results,
     import_results,
@@ -219,11 +220,11 @@ class TestRunTraining:
         assert run([]).final is None and run([]).final_val == math.inf
 
 
-def counted(monkeypatch, cls, name):
-    """The list that gets one entry per call of ``cls.name`` for the rest of the test."""
-    calls = []
+def counted(monkeypatch, cls, name, calls=None):
+    """The list (``calls``, or a new one) that gets ``name`` once per call of ``cls.name`` for the rest of the test."""
+    calls = [] if calls is None else calls
     method = getattr(cls, name)
-    monkeypatch.setattr(cls, name, lambda self, *args: calls.append(1) or method(self, *args))
+    monkeypatch.setattr(cls, name, lambda self, *args: calls.append(name) or method(self, *args))
     return calls
 
 
@@ -263,6 +264,18 @@ class TestModelCalls:
         assert len(basic) == len(result.rows) == 3
         report = run_seed_study(replace(self.config(spec), seeds=(0, 1, 2)))  # one call serves the whole stack
         assert len(basic) == 6 and all(len(r.rows) == 3 for r in report.runs)
+
+    def test_validation_scored_after_the_last_step(self, monkeypatch):
+        """A 300-step MLP study scores its 30 records after its last step: no validation product runs between steps."""
+        calls = []
+        for name in ("losses_and_gradient", "basic_loss"):
+            counted(monkeypatch, ConsistencyMLPModel, name, calls)
+        optimizer = OptimizerConfig(alpha=0.01, hp_decay=1.0, init_epsilon=0.1, total_steps=300)
+        cfg = small_config(model=SMALL_SPECS[1], optimizer_kind="adamw", optimizer=optimizer, seeds=(0, 1, 2),
+                           record_every=10)
+        report = run_seed_study(cfg)
+        assert all(not run.diverged and len(run.rows) == 30 for run in report.runs)
+        assert calls == ["losses_and_gradient"] * 300 + ["basic_loss"] * 30
 
 
 class TestGridSearch:
@@ -479,6 +492,64 @@ class TestStackedEngine:
                     assert run.seed == seed and run.mode == "fixed"
                     assert np.array_equal(run.fixed_weights, single.fixed_weights)
                     assert same_run(run, single)
+
+
+class TestValidationBlocks:
+    """Record steps hold their parameters back and score them in bursts of at most ``VAL_BLOCK`` floats.
+
+    A burst makes, per record, the call its record step would have made, so every row is bitwise
+    what ``VAL_BLOCK = 1`` gives, which scores each record at its own step.
+    """
+
+    DEMO = Path(__file__).parents[1] / "configs" / "demo.cfg"
+
+    @staticmethod
+    def scored(monkeypatch, budget, train):
+        """What ``train()`` returns under ``VAL_BLOCK = budget``, and the floats held back at each burst."""
+        bursts = []
+        monkeypatch.setattr(harness, "VAL_BLOCK", budget)
+        monkeypatch.setattr(
+            harness, "_score", lambda model, val, pending, rows: bursts.append(sum(w.size for w in pending))
+            or _score(model, val, pending, rows)
+        )
+        return train(), bursts
+
+    @pytest.mark.parametrize("mode", ["learned", "fixed"])
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=["linear", "mlp"])
+    def test_blocks_match_scoring_at_every_record(self, monkeypatch, spec, mode):
+        cfg = small_config(model=spec, mode=mode, fixed_weights=(1.0, 0.25, 0.1), seeds=(0, 1, 2), record_every=1,
+                           optimizer=replace(small_config().optimizer, total_steps=30))
+        per_record = 3 * models.build_model(spec).n_params  # floats one record holds back
+        blocked, bursts = self.scored(monkeypatch, 4 * per_record, lambda: run_seed_study(cfg).runs)
+        each, singles = self.scored(monkeypatch, 1, lambda: run_seed_study(cfg).runs)
+        for a, b in zip(blocked, each):
+            assert not a.diverged and len(a.rows) == 30
+            assert same_run(a, b)
+        assert bursts == [4 * per_record] * 7 + [2 * per_record]  # the last two records after the loop
+        assert singles == [per_record] * 30 + [0]  # a budget smaller than a record scores it at once
+
+    def test_runs_that_stop_mid_block(self, monkeypatch):
+        cfg = load_config(self.DEMO, ["alpha=1.0", "record_every=1", "total_steps=500"])
+        per_record = 27 * cfg.model.n_features
+        blocked, bursts = self.scored(monkeypatch, 5 * per_record, lambda: run_grid_search(cfg))
+        each, _ = self.scored(monkeypatch, 1, lambda: run_grid_search(cfg))
+        runs = [run for point in blocked.points for run in point.runs]
+        assert max(bursts) == 5 * per_record
+        assert not all(run.diverged for run in runs)
+        assert any(run.diverged and len(run.rows) % 5 for run in runs)  # stopped with records held back
+        for a, b in zip(runs, (run for point in each.points for run in point.runs)):
+            assert same_run(a, b)
+
+    def test_every_run_stops(self, monkeypatch):
+        """The loop breaks at step 775 with 774 % 16 = 6 records held back; they are still scored."""
+        cfg = load_config(self.DEMO, ["alpha=2.0", "record_every=1", "total_steps=800"])
+        per_record = 3 * cfg.model.n_features
+        blocked, bursts = self.scored(monkeypatch, 16 * per_record, lambda: run_seed_study(cfg).runs)
+        each, _ = self.scored(monkeypatch, 1, lambda: run_seed_study(cfg).runs)
+        assert sorted(run.diverged_step for run in blocked) == [29, 699, 775]
+        for a, b in zip(blocked, each):
+            assert same_run(a, b)
+        assert bursts[-1] == 6 * per_record
 
 
 LOSS, STATE, RANGE = "non-finite loss", "non-finite state after update", "exponent left the representable range"
